@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-json bench-compare chaos-smoke mc-smoke recover-smoke transport-smoke par-smoke cycles-smoke scale-smoke reliability-smoke verify examples check clean doc
+.PHONY: all build test loc bench bench-json bench-compare chaos-smoke chaos-sweep mc-smoke recover-smoke transport-smoke par-smoke cycles-smoke scale-smoke reliability-smoke verify examples check clean doc
 
 all: build
 
@@ -7,6 +7,12 @@ build:
 
 test:
 	dune runtest
+
+# Non-test lines of code: every .ml/.mli under lib, bin, bench, tools
+# and examples.
+loc:
+	@find lib bin bench tools examples \( -name '*.ml' -o -name '*.mli' \) \
+	  | sort | xargs cat | wc -l
 
 # Every experiment table (E1-E18); see EXPERIMENTS.md.
 bench:
@@ -27,6 +33,27 @@ bench-compare:
 # test/cram/chaos.t runs the same scenario under dune runtest.
 chaos-smoke:
 	dune exec bin/netobj_sim.exe -- chaos --seed 7
+
+# The chaos seed sweep: seeds 1..12 plain, with the cycle workload and
+# with call storms, plus the durable recover-smoke line.  Prints one
+# verdict per run and fails unless every run reports SURVIVED.
+SWEEP_SEEDS = 1 2 3 4 5 6 7 8 9 10 11 12
+chaos-sweep:
+	@dune build bin/netobj_sim.exe
+	@sim=_build/default/bin/netobj_sim.exe; runs=0; ok=0; \
+	sweep() { \
+	  verdict=$$($$sim chaos "$$@" | grep '^result:'); \
+	  runs=$$((runs + 1)); \
+	  [ "$$verdict" = "result: SURVIVED" ] && ok=$$((ok + 1)); \
+	  echo "chaos $$*: $${verdict:-no result}"; \
+	}; \
+	for s in $(SWEEP_SEEDS); do sweep --seed $$s; done; \
+	for s in $(SWEEP_SEEDS); do sweep --seed $$s --cycles 4; done; \
+	for s in $(SWEEP_SEEDS); do sweep --seed $$s --storms 2; done; \
+	sweep --seed 3 --crashes 1 --crash-recovers 2 --disk-faults 2 \
+	  --partitions 2 --loss-bursts 2 --dup-bursts 1 --spikes 1; \
+	echo "chaos-sweep: $$ok/$$runs SURVIVED"; \
+	[ $$ok -eq $$runs ]
 
 # Quick model-checking pass: exhaust the two-space transfer scenario
 # within default bounds (must be clean), re-find the historical lookup

@@ -151,7 +151,6 @@ type config = {
   snapshot_period : float option;
   recover_grace : float;
   cycle_period : float option;
-  cycle_age : float;
   bug_skip_confirm : bool;
   transport : (Sched.t -> Net.t -> Transport.t) option;
   engine : (module Engine.S) option;
@@ -167,7 +166,7 @@ let config ?(seed = 1L) ?(policy = Sched.Fifo) ?(edge = Net.bag_edge ())
     ?(bug_ping_ack_replay = false) ?(bug_no_dedup = false)
     ?(durable = false) ?(fsync_delay = 0.02)
     ?snapshot_period
-    ?(recover_grace = 2.0) ?cycle_period ?(cycle_age = 0.75)
+    ?(recover_grace = 2.0) ?cycle_period
     ?(bug_skip_confirm = false) ?transport ?engine ?(domains = 4) ~nspaces () =
   if backoff < 1.0 then invalid_arg "Runtime.config: backoff must be >= 1";
   if call_retries < 0 then
@@ -185,7 +184,6 @@ let config ?(seed = 1L) ?(policy = Sched.Fifo) ?(edge = Net.bag_edge ())
     invalid_arg "Runtime.config: fsync_delay must be >= 0";
   if recover_grace < 0.0 then
     invalid_arg "Runtime.config: recover_grace must be >= 0";
-  if cycle_age < 0.0 then invalid_arg "Runtime.config: cycle_age must be >= 0";
   if domains < 1 then invalid_arg "Runtime.config: domains must be >= 1";
   {
     nspaces;
@@ -218,7 +216,6 @@ let config ?(seed = 1L) ?(policy = Sched.Fifo) ?(edge = Net.bag_edge ())
     snapshot_period;
     recover_grace;
     cycle_period;
-    cycle_age;
     bug_skip_confirm;
     transport;
     engine;
@@ -226,8 +223,7 @@ let config ?(seed = 1L) ?(policy = Sched.Fifo) ?(edge = Net.bag_edge ())
   }
 
 (* The one builder: derive a variant config by overriding any subset of
-   the rebindable knobs.  The legacy [with_*] accessors are thin
-   deprecated aliases over this. *)
+   the rebindable knobs. *)
 let override ?seed ?policy ?edge ?coalesce ?transport ?engine ?domains cfg =
   let upd v = function Some x -> x | None -> v in
   {
@@ -240,14 +236,6 @@ let override ?seed ?policy ?edge ?coalesce ?transport ?engine ?domains cfg =
     engine = (match engine with Some e -> Some e | None -> cfg.engine);
     domains = upd cfg.domains domains;
   }
-
-let with_seed cfg seed = override ~seed cfg
-
-let with_policy cfg policy = override ~policy cfg
-
-let with_edge cfg edge = override ~edge cfg
-
-let with_coalesce cfg coalesce = override ~coalesce cfg
 
 let config_nspaces cfg = cfg.nspaces
 
@@ -2201,8 +2189,10 @@ let run_trial sp suspect =
 
 (* Suspects: concretes that are locally unreachable yet dirty-kept.
    [cycle_suspect_since] ages them across passes so the demon only
-   opens trials for suspects stable for [cycle_age] — young suspects
-   are usually just references in transit. *)
+   opens trials for suspects stable for [cycle_age] seconds — young
+   suspects are usually just references in transit. *)
+let cycle_age = 0.75
+
 let nominate_suspects sp =
   let marked = mark_local sp in
   let now = Sched.now (ssched sp) in
@@ -2234,11 +2224,10 @@ let nominate_suspects sp =
 
 let aged_suspects sp =
   let now = Sched.now (ssched sp) in
-  let age = sp.rt.config.cycle_age in
   List.filter
     (fun wr ->
       match Wirerep.Tbl.find_opt sp.cycle_suspect_since wr with
-      | Some t0 -> now -. t0 >= age
+      | Some t0 -> now -. t0 >= cycle_age
       | None -> false)
     (nominate_suspects sp)
 

@@ -118,8 +118,8 @@ type config
       conservatively retained while clients re-assert them;
     - [cycle_period] runs each space's distributed cycle detector
       periodically (default off): suspects that stayed
-      dirty-kept-but-unreachable for [cycle_age] seconds (default 0.75)
-      get a trial deletion — see {!cycle_collect} for the protocol;
+      dirty-kept-but-unreachable for 0.75 seconds get a trial deletion
+      — see {!cycle_collect} for the protocol;
     - [bug_skip_confirm] deliberately breaks the detector by committing
       trial closures without the confirm round, as a known-bug target
       for the model checker.  Never set it outside that scenario;
@@ -127,6 +127,7 @@ type config
       scheduler and its simulated network (invoked once per shard), it
       returns the {!Netobj_transport.Transport.t} that shard's protocol
       traffic rides (default: each engine's native backend —
+      {!Netobj_transport.Faulty} over
       {!Netobj_transport.Transport_sim.of_net} on the sim engine, the
       inter-domain hub on the domains engine).  Real backends need
       their I/O pumped — see {!transport} and {!Netobj_transport.Tcp};
@@ -166,7 +167,6 @@ val config :
   ?snapshot_period:float ->
   ?recover_grace:float ->
   ?cycle_period:float ->
-  ?cycle_age:float ->
   ?bug_skip_confirm:bool ->
   ?transport:(Sched.t -> Net.t -> Netobj_transport.Transport.t) ->
   ?engine:(module Engine.S) ->
@@ -189,18 +189,6 @@ val override :
   config ->
   config
 
-val with_seed : config -> int64 -> config
-[@@ocaml.deprecated "use Runtime.override ~seed"]
-
-val with_policy : config -> Sched.policy -> config
-[@@ocaml.deprecated "use Runtime.override ~policy"]
-
-val with_edge : config -> Net.edge_config -> config
-[@@ocaml.deprecated "use Runtime.override ~edge"]
-
-val with_coalesce : config -> bool -> config
-[@@ocaml.deprecated "use Runtime.override ~coalesce"]
-
 val config_nspaces : config -> int
 
 val config_seed : config -> int64
@@ -220,14 +208,17 @@ val create : config -> t
     reach the others). *)
 val sched : t -> Sched.t
 
-(** Shard 0's simulated network (the mc/chaos fault surface — sim
-    engine only). *)
+(** Shard 0's simulated network: the delivery model (edge shaping,
+    the mc delivery-choice hook, raw accounting).  Faults are not here —
+    inject them through {!transport}'s fault hooks. *)
 val net : t -> Net.t
 
-(** Shard 0's transport.  Harness fault operations ({!crash} and
-    friends) go through each shard's fault hooks, so a real backend
-    must be wrapped in {!Netobj_transport.Faulty} before the chaos
-    machinery can drive it. *)
+(** Shard 0's transport: the mc/chaos fault surface.  Harness fault
+    operations ({!crash} and friends) go through each shard's fault
+    hooks.  The sim engine's default transport is already
+    {!Netobj_transport.Faulty} over the simulated network; a custom
+    backend must be wrapped in it before the chaos machinery can drive
+    it. *)
 val transport : t -> Netobj_transport.Transport.t
 
 (** The engine's identifier: ["sim"], ["domains"], ... *)

@@ -1,6 +1,7 @@
 module Sched = Netobj_sched.Sched
 module Net = Netobj_net.Net
 module Transport_sim = Netobj_transport.Transport_sim
+module Faulty = Netobj_transport.Faulty
 module Obs = Netobj_obs.Obs
 
 type t = { shard : Engine.shard }
@@ -12,7 +13,12 @@ let deterministic = true
 (* The construction order (scheduler, then clock hookup, then network,
    then transport) is the frozen pre-engine sequence: seeds and RNG
    streams derive identically, so mc schedules and chaos traces recorded
-   before the engine split replay byte-for-byte. *)
+   before the engine split replay byte-for-byte.  The fault decorator
+   draws from its own stream, derived from the seed the way the domains
+   engine derives per-shard seeds, so arming a fault never shifts the
+   network's latency draws. *)
+let fault_seed seed = Int64.add seed 0xfa17L
+
 let create (p : Engine.params) =
   let sched = Sched.create ~policy:p.p_policy () in
   (* Trace timestamps follow the virtual clock from here on (enable
@@ -27,7 +33,8 @@ let create (p : Engine.params) =
   let tr =
     match p.p_mk_transport with
     | Some f -> f sched net
-    | None -> Transport_sim.of_net net
+    | None ->
+        Faulty.wrap ~sched ~seed:(fault_seed p.p_seed) (Transport_sim.of_net net)
   in
   {
     shard =

@@ -1,38 +1,11 @@
-type mode = Raw | Compressed | Signed | Encrypted
-
-let mode_to_byte = function
-  | Raw -> 0
-  | Compressed -> 1
-  | Signed -> 2
-  | Encrypted -> 3
-
-let mode_of_byte = function
-  | 0 -> Some Raw
-  | 1 -> Some Compressed
-  | 2 -> Some Signed
-  | 3 -> Some Encrypted
-  | _ -> None
-
-let pp_mode ppf m =
-  Fmt.string ppf
-    (match m with
-    | Raw -> "raw"
-    | Compressed -> "compressed"
-    | Signed -> "signed"
-    | Encrypted -> "encrypted")
-
-exception Unsupported_mode of mode
-
 exception Corrupt of string
 
 let () =
   Printexc.register_printer (function
-    | Unsupported_mode m ->
-        Some
-          (Fmt.str "Frame.Unsupported_mode(%a, flag byte 0x%02x)" pp_mode m
-             (mode_to_byte m))
     | Corrupt msg -> Some (Printf.sprintf "Frame.Corrupt(%s)" msg)
     | _ -> None)
+
+let version = 0
 
 let max_frame = 64 * 1024 * 1024
 
@@ -40,14 +13,13 @@ let overhead = 5
 
 module Wire = Netobj_pickle.Wire
 
-let encode ?(mode = Raw) body =
-  (match mode with Raw -> () | m -> raise (Unsupported_mode m));
+let encode body =
   let len = String.length body + 1 in
   if len > max_frame then
     raise (Corrupt (Printf.sprintf "frame too large: %d bytes" len));
   Wire.Writer.with_pooled (fun w ->
       Wire.Writer.u32_be w len;
-      Wire.Writer.byte w (mode_to_byte mode);
+      Wire.Writer.byte w version;
       Wire.Writer.raw w body;
       Bytes.unsafe_to_string (Wire.Writer.to_bytes w))
 
@@ -100,13 +72,12 @@ let next d =
       raise (Corrupt (Printf.sprintf "bad frame length %d" len));
     if pending d < 4 + len then None
     else begin
-      let flag = Wire.Reader.byte r in
-      match mode_of_byte flag with
-      | None -> raise (Corrupt (Printf.sprintf "unknown flag byte 0x%02x" flag))
-      | Some mode ->
-          let body = Bytes.sub_string d.buf (d.pos + 5) (len - 1) in
-          d.pos <- d.pos + 4 + len;
-          Some (mode, body)
+      let v = Wire.Reader.byte r in
+      if v <> version then
+        raise (Corrupt (Printf.sprintf "unknown version byte 0x%02x" v));
+      let body = Bytes.sub_string d.buf (d.pos + 5) (len - 1) in
+      d.pos <- d.pos + 4 + len;
+      Some body
     end
   end
 

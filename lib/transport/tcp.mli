@@ -9,8 +9,8 @@
     reads, reassembles frames across arbitrary packet boundaries, and
     dispatches each submessage in a fresh scheduler fiber.
 
-    On the wire every payload is a {!Frame}: [u32 BE length], a mode
-    flag byte ([Raw] today), then a body of
+    On the wire every payload is a {!Frame}: [u32 BE length], a
+    version byte (always 0), then a body of
     [uvarint src · uvarint dst · uvarint count ·
     count × (string kind · string payload)] — a direct send is a
     frame with [count = 1]; coalesced outboxes ride as one frame with

@@ -15,64 +15,37 @@ module Wire = Netobj_pickle.Wire
 (* --- frame codec: exact behaviours -------------------------------------- *)
 
 let test_frame_exact () =
-  let m, body = Frame.decode_exact (Frame.encode "hello") in
-  Alcotest.(check bool) "raw mode" true (m = Frame.Raw);
-  Alcotest.(check string) "body" "hello" body;
-  let m, body = Frame.decode_exact (Frame.encode "") in
-  Alcotest.(check bool) "empty raw" true (m = Frame.Raw);
-  Alcotest.(check string) "empty body" "" body;
+  Alcotest.(check string) "body" "hello"
+    (Frame.decode_exact (Frame.encode "hello"));
+  Alcotest.(check string) "empty body" "" (Frame.decode_exact (Frame.encode ""));
   Alcotest.(check int) "overhead" 5 (String.length (Frame.encode ""));
-  (match Frame.encode ~mode:Frame.Compressed "x" with
-  | _ -> Alcotest.fail "expected Unsupported_mode"
-  | exception Frame.Unsupported_mode Frame.Compressed -> ());
-  (* Header is big-endian length (flag + body) then the flag byte. *)
+  (* Header is big-endian length (version + body) then the version
+     byte, always 0. *)
   Alcotest.(check string) "wire bytes" "\x00\x00\x00\x06\x00hello"
     (Frame.encode "hello")
 
-let contains ~sub s =
-  let n = String.length sub in
-  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
-  at 0
-
-(* Each reserved mode: [encode] refuses it with the flag byte in the
-   message, while the decoder carries the frame through intact (the
-   endpoint, not the framing, rejects reserved modes — see tcp.ml's
-   drain_decoder). *)
+(* The version byte is input validation: every frame whose byte is not
+   0 — flag bytes 1..255, including the once-reserved 1..3 — is
+   rejected as [Corrupt] by both the incremental decoder and
+   [decode_exact], so a hostile stream cannot smuggle a body past it. *)
 let test_frame_reserved_flags () =
-  List.iter
-    (fun (mode, byte) ->
-      (match Frame.encode ~mode "x" with
-      | _ -> Alcotest.failf "flag 0x%02x: expected Unsupported_mode" byte
-      | exception (Frame.Unsupported_mode m as e) ->
-          Alcotest.(check bool) "mode carried" true (m = mode);
-          Alcotest.(check bool)
-            (Printf.sprintf "message names flag byte 0x%02x" byte)
-            true
-            (contains ~sub:(Printf.sprintf "0x%02x" byte)
-               (Printexc.to_string e)));
-      (* decode side: a hand-built frame with the reserved flag byte
-         decodes to that mode with the body intact *)
-      let wire =
-        Wire.Writer.with_pooled (fun w ->
-            Wire.Writer.u32_be w 5;
-            Wire.Writer.byte w byte;
-            Wire.Writer.raw w "body";
-            Bytes.unsafe_to_string (Wire.Writer.to_bytes w))
-      in
-      let d = Frame.decoder () in
-      Frame.feed d wire;
-      (match Frame.next d with
-      | Some (m, body) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "flag 0x%02x decodes to its mode" byte)
-            true (m = mode);
-          Alcotest.(check string) "reserved body intact" "body" body
-      | None -> Alcotest.failf "flag 0x%02x: frame not decoded" byte);
-      Alcotest.(check int) "nothing pending" 0 (Frame.pending d);
-      let m, body = Frame.decode_exact wire in
-      Alcotest.(check bool) "decode_exact agrees" true (m = mode);
-      Alcotest.(check string) "decode_exact body" "body" body)
-    [ (Frame.Compressed, 1); (Frame.Signed, 2); (Frame.Encrypted, 3) ]
+  for byte = 1 to 255 do
+    let wire =
+      Wire.Writer.with_pooled (fun w ->
+          Wire.Writer.u32_be w 5;
+          Wire.Writer.byte w byte;
+          Wire.Writer.raw w "body";
+          Bytes.unsafe_to_string (Wire.Writer.to_bytes w))
+    in
+    let d = Frame.decoder () in
+    Frame.feed d wire;
+    (match Frame.next d with
+    | _ -> Alcotest.failf "flag 0x%02x: expected Corrupt" byte
+    | exception Frame.Corrupt _ -> ());
+    match Frame.decode_exact wire with
+    | _ -> Alcotest.failf "flag 0x%02x: decode_exact expected Corrupt" byte
+    | exception Frame.Corrupt _ -> ()
+  done
 
 let test_frame_corrupt () =
   let expect_corrupt name s =
@@ -102,10 +75,9 @@ let test_frame_one_byte_feed () =
       Frame.feed d (String.make 1 c);
       let rec drain () =
         match Frame.next d with
-        | Some (Frame.Raw, b) ->
+        | Some b ->
             got := b :: !got;
             drain ()
-        | Some _ -> Alcotest.fail "unexpected mode"
         | None -> ()
       in
       drain ())
@@ -118,8 +90,7 @@ let test_frame_one_byte_feed () =
 let drain_all d =
   let rec loop acc =
     match Frame.next d with
-    | Some (Frame.Raw, b) -> loop (b :: acc)
-    | Some _ -> Alcotest.fail "unexpected mode"
+    | Some b -> loop (b :: acc)
     | None -> List.rev acc
   in
   loop []
@@ -127,8 +98,7 @@ let drain_all d =
 let prop_roundtrip =
   QCheck.Test.make ~name:"encode/decode identity" ~count:300 QCheck.string
     (fun s ->
-      let m, body = Frame.decode_exact (Frame.encode s) in
-      m = Frame.Raw && body = s)
+      Frame.decode_exact (Frame.encode s) = s)
 
 (* Split the concatenation of many frames at positions driven by the
    seed — byte-at-a-time, mid-length-prefix, several frames per chunk —
