@@ -144,6 +144,7 @@ let view t ~shard ~sched =
       (fun ~src ~dst ~kind payload -> send t ~from:shard ~src ~dst ~kind payload);
     t_flush = (fun () -> ());
     t_set_handler = (fun a h -> t.handlers.(a) <- Some h);
+    t_set_gate = (fun _ -> unsupported "receive gates" ());
     t_connect = (fun _ -> ());
     t_pump = (fun ~timeout:_ -> pump t ~shard ~sched);
     t_close = (fun () -> ());

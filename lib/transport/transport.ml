@@ -3,6 +3,10 @@ type addr = int
 type handler =
   src:addr -> kind:string -> payload:string -> off:int -> len:int -> unit
 
+type gate = src:addr -> dst:addr -> kind:string -> len:int -> bool
+
+let admit_all ~src:_ ~dst:_ ~kind:_ ~len:_ = true
+
 type stats = {
   sent : int;
   delivered : int;
@@ -49,6 +53,7 @@ type t = {
   t_post : src:addr -> dst:addr -> kind:string -> string -> unit;
   t_flush : unit -> unit;
   t_set_handler : addr -> handler -> unit;
+  t_set_gate : gate -> unit;
   t_connect : addr -> unit;
   t_pump : timeout:float -> int;
   t_close : unit -> unit;
