@@ -130,8 +130,8 @@ reliability-smoke:
 	dune exec bin/netobj_sim.exe -- chaos --seed 3 --storms 2
 
 # The full local gate: build everything, run the test suite (unit,
-# property, cram), then the eight smoke targets.
-verify: build test chaos-smoke mc-smoke recover-smoke transport-smoke par-smoke cycles-smoke scale-smoke reliability-smoke
+# property, cram), the eight smoke targets and the chaos seed sweep.
+verify: build test chaos-smoke chaos-sweep mc-smoke recover-smoke transport-smoke par-smoke cycles-smoke scale-smoke reliability-smoke
 
 examples:
 	dune exec examples/quickstart.exe

@@ -821,10 +821,10 @@ let e12_churn () =
       ignore (R.run rt);
       let kinds = Net.stats_by_kind (R.net rt) in
       let n k = fst (Option.value ~default:(0, 0) (List.assoc_opt k kinds)) in
-      row "  %-10s clean msgs=%d, clean_batch msgs=%d, total GC msgs=%d@."
+      row "  %-10s clean msgs=%d, clean_ack msgs=%d, total GC msgs=%d@."
         (if batch then "batched" else "unbatched")
-        (n "clean") (n "clean_batch")
-        (n "clean" + n "clean_batch" + n "clean_ack" + n "clean_batch_ack"))
+        (n "clean") (n "clean_ack")
+        (n "clean" + n "clean_ack"))
     [ false; true ]
 
 (* ------------------------------------------------------------------ E13 *)
@@ -1119,7 +1119,7 @@ module Mc = Netobj_mc.Mc
    state-fingerprint dedup enumerates schedules.  The table reports how
    hard each scenario is (states, pruning ratio) and — for the lookup
    scenario with the historical agent-root leak re-enabled via
-   [bug_lookup_leak] — how many schedules each mode needs to re-find the
+   the [Lookup_leak] bug — how many schedules each mode needs to re-find the
    bug.  Everything is deterministic; bench_compare skips the rows by
    default because they count schedules, not time. *)
 let e19_mc () =

@@ -1734,7 +1734,7 @@ let leak_arg =
     value & flag
     & info [ "leak" ]
         ~doc:"Enable the historical lookup agent-root leak \
-              (bug_lookup_leak) in the lookup scenario.")
+              (the Lookup_leak bug) in the lookup scenario.")
 
 let max_schedules_arg =
   Arg.(

@@ -68,10 +68,8 @@ type envelope =
   | Copy_ack of { msg_id : msg_id }
   | Dirty of { wr : Wirerep.t; seq : int }
   | Dirty_ack of { wr : Wirerep.t; ok : bool }
-  | Clean of { wr : Wirerep.t; seq : int; strong : bool }
-  | Clean_ack of { wr : Wirerep.t }
-  | Clean_batch of { items : (Wirerep.t * int) list }
-  | Clean_batch_ack of { wrs : Wirerep.t list }
+  | Clean of { items : (Wirerep.t * int) list }
+  | Clean_ack of { wrs : Wirerep.t list }
   | Ping of { nonce : int }
   | Ping_ack of { nonce : int }
   | Recover of { nonce : int }
@@ -134,26 +132,20 @@ let codec =
         (fun (wr, ok) -> Dirty_ack { wr; ok })
         (function Dirty_ack { wr; ok } -> Some (wr, ok) | _ -> None);
       P.case 5 "clean"
-        (P.triple Wirerep.codec P.int P.bool)
-        (fun (wr, seq, strong) -> Clean { wr; seq; strong })
-        (function
-          | Clean { wr; seq; strong } -> Some (wr, seq, strong) | _ -> None);
-      P.case 6 "clean_ack" Wirerep.codec
-        (fun wr -> Clean_ack { wr })
-        (function Clean_ack { wr } -> Some wr | _ -> None);
+        (P.list (P.pair Wirerep.codec P.int))
+        (fun items -> Clean { items })
+        (function Clean { items } -> Some items | _ -> None);
+      P.case 6 "clean_ack" (P.list Wirerep.codec)
+        (fun wrs -> Clean_ack { wrs })
+        (function Clean_ack { wrs } -> Some wrs | _ -> None);
       P.case 7 "ping" P.int
         (fun nonce -> Ping { nonce })
         (function Ping { nonce } -> Some nonce | _ -> None);
       P.case 8 "ping_ack" P.int
         (fun nonce -> Ping_ack { nonce })
         (function Ping_ack { nonce } -> Some nonce | _ -> None);
-      P.case 9 "clean_batch"
-        (P.list (P.pair Wirerep.codec P.int))
-        (fun items -> Clean_batch { items })
-        (function Clean_batch { items } -> Some items | _ -> None);
-      P.case 10 "clean_batch_ack" (P.list Wirerep.codec)
-        (fun wrs -> Clean_batch_ack { wrs })
-        (function Clean_batch_ack { wrs } -> Some wrs | _ -> None);
+      (* tags 9 and 10 are retired: reusing them would let a message
+         from an older peer decode as something else *)
       P.case 11 "recover" P.int
         (fun nonce -> Recover { nonce })
         (function Recover { nonce } -> Some nonce | _ -> None);
@@ -227,8 +219,6 @@ let kind = function
   | Dirty_ack _ -> "dirty_ack"
   | Clean _ -> "clean"
   | Clean_ack _ -> "clean_ack"
-  | Clean_batch _ -> "clean_batch"
-  | Clean_batch_ack _ -> "clean_batch_ack"
   | Ping _ -> "ping"
   | Ping_ack _ -> "ping_ack"
   | Recover _ -> "recover"
@@ -251,12 +241,8 @@ let pp ppf = function
   | Copy_ack { msg_id } -> Fmt.pf ppf "copy_ack %a" pp_msg_id msg_id
   | Dirty { wr; seq } -> Fmt.pf ppf "dirty %a seq=%d" Wirerep.pp wr seq
   | Dirty_ack { wr; ok } -> Fmt.pf ppf "dirty_ack %a ok=%b" Wirerep.pp wr ok
-  | Clean { wr; seq; strong } ->
-      Fmt.pf ppf "clean %a seq=%d strong=%b" Wirerep.pp wr seq strong
-  | Clean_ack { wr } -> Fmt.pf ppf "clean_ack %a" Wirerep.pp wr
-  | Clean_batch { items } -> Fmt.pf ppf "clean_batch(%d)" (List.length items)
-  | Clean_batch_ack { wrs } ->
-      Fmt.pf ppf "clean_batch_ack(%d)" (List.length wrs)
+  | Clean { items } -> Fmt.pf ppf "clean(%d)" (List.length items)
+  | Clean_ack { wrs } -> Fmt.pf ppf "clean_ack(%d)" (List.length wrs)
   | Ping { nonce } -> Fmt.pf ppf "ping %d" nonce
   | Ping_ack { nonce } -> Fmt.pf ppf "ping_ack %d" nonce
   | Recover { nonce } -> Fmt.pf ppf "recover %d" nonce

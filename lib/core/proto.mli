@@ -9,8 +9,7 @@
     [Dirty]/[Clean] calls carry the client's per-object sequence number
     (TR 116 §2: "an incoming operation will be performed only if its
     sequence number exceeds this value"), making retries and reordered
-    duplicates idempotent; [strong] cleans additionally cancel a dirty
-    call presumed lost (TR §2.3).  [Ping]/[Ping_ack] implement the
+    duplicates idempotent.  [Ping]/[Ping_ack] implement the
     owner-driven liveness probe of TR §2.4. *)
 
 (** Message identifier for transient-dirty accounting: minting space and
@@ -71,12 +70,12 @@ type envelope =
   | Copy_ack of { msg_id : msg_id }
   | Dirty of { wr : Wirerep.t; seq : int }
   | Dirty_ack of { wr : Wirerep.t; ok : bool }
-  | Clean of { wr : Wirerep.t; seq : int; strong : bool }
-  | Clean_ack of { wr : Wirerep.t }
-  | Clean_batch of { items : (Wirerep.t * int) list }
-      (** several clean calls to the same owner in one message — the
-          batching optimisation the TR's cleaning demon enables *)
-  | Clean_batch_ack of { wrs : Wirerep.t list }
+  | Clean of { items : (Wirerep.t * int) list }
+      (** clean calls to one owner, each with its sequence number: one
+          item from the cleaning demon, or everything it gathered for
+          that owner within the [clean_batch] window *)
+  | Clean_ack of { wrs : Wirerep.t list }
+      (** acknowledges every item of one [Clean] *)
   | Ping of { nonce : int }
   | Ping_ack of { nonce : int }
   | Recover of { nonce : int }

@@ -120,6 +120,8 @@ type handle = { wr : Wirerep.t }
    signature. *)
 let deadline_key : float Sched.Fls.key = Sched.Fls.key ()
 
+type bug = Lookup_leak | Ping_ack_replay | No_dedup | Skip_confirm
+
 type config = {
   nspaces : int;
   seed : int64;
@@ -143,15 +145,12 @@ type config = {
   clean_batch : float option;
   piggyback_acks : bool;
   coalesce : bool;
-  bug_lookup_leak : bool;
-  bug_ping_ack_replay : bool;
-  bug_no_dedup : bool;
+  bugs : bug list;
   durable : bool;
   fsync_delay : float;
   snapshot_period : float option;
   recover_grace : float;
   cycle_period : float option;
-  bug_skip_confirm : bool;
   transport : (Sched.t -> Net.t -> Transport.t) option;
   engine : (module Engine.S) option;
   domains : int;
@@ -162,12 +161,11 @@ let config ?(seed = 1L) ?(policy = Sched.Fifo) ?(edge = Net.bag_edge ())
     ?(call_retries = 0) ?deadline ?max_inflight ?dirty_timeout
     ?clean_retry ?dirty_retry ?(backoff = 1.0) ?(backoff_cap = infinity)
     ?(backoff_jitter = 0.0) ?(lease_grace = 0.0) ?pin_timeout ?clean_batch
-    ?(piggyback_acks = false) ?(coalesce = false) ?(bug_lookup_leak = false)
-    ?(bug_ping_ack_replay = false) ?(bug_no_dedup = false)
+    ?(piggyback_acks = false) ?(coalesce = false) ?(bugs = [])
     ?(durable = false) ?(fsync_delay = 0.02)
     ?snapshot_period
     ?(recover_grace = 2.0) ?cycle_period
-    ?(bug_skip_confirm = false) ?transport ?engine ?(domains = 4) ~nspaces () =
+    ?transport ?engine ?(domains = 4) ~nspaces () =
   if backoff < 1.0 then invalid_arg "Runtime.config: backoff must be >= 1";
   if call_retries < 0 then
     invalid_arg "Runtime.config: call_retries must be >= 0";
@@ -208,34 +206,19 @@ let config ?(seed = 1L) ?(policy = Sched.Fifo) ?(edge = Net.bag_edge ())
     clean_batch;
     piggyback_acks;
     coalesce;
-    bug_lookup_leak;
-    bug_ping_ack_replay;
-    bug_no_dedup;
+    bugs;
     durable;
     fsync_delay;
     snapshot_period;
     recover_grace;
     cycle_period;
-    bug_skip_confirm;
     transport;
     engine;
     domains;
   }
 
-(* The one builder: derive a variant config by overriding any subset of
-   the rebindable knobs. *)
-let override ?seed ?policy ?edge ?coalesce ?transport ?engine ?domains cfg =
-  let upd v = function Some x -> x | None -> v in
-  {
-    cfg with
-    seed = upd cfg.seed seed;
-    policy = upd cfg.policy policy;
-    edge = upd cfg.edge edge;
-    coalesce = upd cfg.coalesce coalesce;
-    transport = (match transport with Some f -> Some f | None -> cfg.transport);
-    engine = (match engine with Some e -> Some e | None -> cfg.engine);
-    domains = upd cfg.domains domains;
-  }
+let override ?policy cfg =
+  match policy with Some policy -> { cfg with policy } | None -> cfg
 
 let config_nspaces cfg = cfg.nspaces
 
@@ -476,6 +459,8 @@ let ssched sp = sp.shard.Engine.s_sched
 let stransport sp = sp.shard.Engine.s_transport
 
 let sretry_rng sp = sp.rt.retry_rngs.(sp.shard.Engine.s_id)
+
+let has_bug sp b = List.mem b sp.rt.config.bugs
 
 (* Any of the plane's knobs arms it; default configurations keep the
    classic wire behaviour exactly (no cancel traffic, no reply caching,
@@ -745,6 +730,33 @@ let count_retry sp label wr =
       label
   end
 
+(* The one retransmit loop behind the dirty, clean and reassert retries:
+   attempt [n] fires after [retry_delay ~attempt:n] and, while
+   [pending ()] holds, runs [resend ()] and re-arms.  The returned
+   cancel stops the armed timer, so an ack ends the cycle at once
+   instead of leaving a no-op timer to hold back quiescence. *)
+let retransmit sp ?name ~base ~pending resend =
+  let cancel = ref ignore in
+  let rec arm attempt =
+    cancel :=
+      Sched.timer_cancel (ssched sp) ?name
+        (retry_delay sp ~attempt ~base)
+        (fun () ->
+          if pending () then begin
+            resend ();
+            arm (attempt + 1)
+          end)
+  in
+  arm 0;
+  fun () -> !cancel ()
+
+let surrogate_state sp wr =
+  match Wirerep.Tbl.find_opt sp.table wr with
+  | Some (Surrogate st) -> Some !st
+  | Some (Concrete _) | None -> None
+
+let cur_seqno sp wr = Itbl.find sp.seqno (Wirerep.key wr) ~default:0
+
 (* --- surrogate registration (the dirty protocol, client side) ----------- *)
 
 let send_dirty sp wr =
@@ -768,32 +780,19 @@ let send_dirty_retrying sp wr iv =
   | None -> ()
   | Some base ->
       let gen = sp.epoch in
-      let rec arm attempt =
-        let cancel =
-          Sched.timer_cancel (ssched sp)
-            (retry_delay sp ~attempt ~base)
-            (fun () ->
-              if (not sp.crashed) && sp.epoch = gen
-                 && not (Sched.Ivar.is_filled iv)
-              then
-                match Wirerep.Tbl.find_opt sp.table wr with
-                | Some (Surrogate st) -> (
-                    match !st with
-                    | Creating iv' when iv' == iv ->
-                        count_retry sp "dirty_retry" wr;
-                        send_env sp ~dst:wr.Wirerep.space
-                          (Proto.Dirty
-                             {
-                               wr;
-                               seq = Itbl.find sp.seqno (Wirerep.key wr) ~default:0;
-                             });
-                        arm (attempt + 1)
-                    | Creating _ | Usable _ | Cleaning _ -> ())
-                | Some (Concrete _) | None -> ())
-        in
-        Sched.Ivar.on_fill iv (fun () -> cancel ())
+      let pending () =
+        (not sp.crashed) && sp.epoch = gen
+        && (not (Sched.Ivar.is_filled iv))
+        &&
+        match surrogate_state sp wr with
+        | Some (Creating iv') -> iv' == iv
+        | Some (Usable _ | Cleaning _) | None -> false
       in
-      arm 0
+      Sched.Ivar.on_fill iv
+        (retransmit sp ~base ~pending (fun () ->
+             count_retry sp "dirty_retry" wr;
+             send_env sp ~dst:wr.Wirerep.space
+               (Proto.Dirty { wr; seq = cur_seqno sp wr })))
 
 let obs_begin_clean sp wr =
   if Obs.on () then begin
@@ -802,12 +801,6 @@ let obs_begin_clean sp wr =
       ~id:(obs_wr_id ~client:sp.id wr + 1)
       ~args:(obs_wr_args wr) "clean"
   end
-
-let send_clean sp wr ~strong =
-  sp.s_clean <- sp.s_clean + 1;
-  obs_begin_clean sp wr;
-  send_env sp ~dst:wr.Wirerep.space
-    (Proto.Clean { wr; seq = next_seqno sp wr; strong })
 
 (* Ensure a table entry exists for a reference just read from a message,
    returning the registration event to await (if any).  Mirrors the
@@ -1089,115 +1082,86 @@ let global_collect rt =
 
 (* --- cleaning demon ------------------------------------------------------ *)
 
-(* Transition a scheduled surrogate to Cleaning and return its fresh
-   sequence number, unless a fresh copy cancelled the clean meanwhile
-   (the Note 4 cancellation). *)
-let begin_clean sp wr =
-  match Wirerep.Tbl.find_opt sp.table wr with
-  | Some (Surrogate st) -> (
-      match !st with
-      | Usable u when u.clean_scheduled ->
-          st := Cleaning { resurrect = None; retry_cancel = None };
-          Some (next_seqno sp wr)
-      | Usable _ | Creating _ | Cleaning _ -> None)
-  | Some (Concrete _) | None -> None
+let drain_clean_mb sp =
+  let rec go acc =
+    match Sched.Mailbox.try_recv sp.clean_mb with
+    | Some wr -> go (wr :: acc)
+    | None -> List.rev acc
+  in
+  go []
 
-(* Batched cleaning demon: gather everything scheduled within the window
-   and send one clean_batch per owner. *)
-let cleaning_demon_batched sp window () =
+(* TR §2.3: an unacknowledged clean is repeated until it succeeds
+   (sequence numbers make the repeats idempotent), with capped
+   exponential backoff between attempts.  The cancel is stored on the
+   Cleaning state so the owner's ack stops the cycle immediately. *)
+let schedule_clean_retry sp cl wr =
+  match sp.rt.config.clean_retry with
+  | None -> ()
+  | Some base ->
+      let pending () =
+        (not sp.crashed)
+        &&
+        match surrogate_state sp wr with
+        | Some (Cleaning cl') -> cl' == cl
+        | Some (Creating _ | Usable _) | None -> false
+      in
+      cl.retry_cancel <-
+        Some
+          (retransmit sp ~base ~pending (fun () ->
+               sp.s_clean <- sp.s_clean + 1;
+               count_retry sp "clean_retry" wr;
+               if Obs.on () then Metrics.incr m_clean;
+               send_env sp ~dst:wr.Wirerep.space
+                 (Proto.Clean { items = [ (wr, cur_seqno sp wr) ] })))
+
+(* The cleaning demon takes the next surrogate the collector scheduled
+   and, with [clean_batch] set, also whatever else arrives within that
+   window.  Each one still scheduled moves to Cleaning with a fresh
+   sequence number (a fresh copy meanwhile cancels its clean: the Note 4
+   cancellation); then one clean goes to each owner and every item arms
+   its own retry. *)
+let cleaning_demon sp () =
   let rec loop () =
     let wr0 = Sched.Mailbox.recv sp.clean_mb in
-    Sched.sleep (ssched sp) window;
-    let rec drain acc =
-      match Sched.Mailbox.try_recv sp.clean_mb with
-      | Some wr -> drain (wr :: acc)
-      | None -> List.rev acc
+    let wrs =
+      match sp.rt.config.clean_batch with
+      | None -> [ wr0 ]
+      | Some window ->
+          Sched.sleep (ssched sp) window;
+          wr0 :: drain_clean_mb sp
     in
-    let wrs = wr0 :: drain [] in
     if not sp.crashed then begin
       let by_owner = Hashtbl.create 4 in
       List.iter
         (fun wr ->
-          match begin_clean sp wr with
-          | None -> ()
-          | Some seq ->
+          match Wirerep.Tbl.find_opt sp.table wr with
+          | Some (Surrogate ({ contents = Usable u } as st))
+            when u.clean_scheduled ->
+              let cl = { resurrect = None; retry_cancel = None } in
+              st := Cleaning cl;
               sp.s_clean <- sp.s_clean + 1;
               obs_begin_clean sp wr;
               let owner = wr.Wirerep.space in
               let prev =
                 Option.value ~default:[] (Hashtbl.find_opt by_owner owner)
               in
-              Hashtbl.replace by_owner owner ((wr, seq) :: prev))
+              Hashtbl.replace by_owner owner
+                ((wr, next_seqno sp wr, cl) :: prev)
+          | Some (Surrogate _ | Concrete _) | None -> ())
         wrs;
       Hashtbl.iter
         (fun owner items ->
-          if Obs.on () then
+          if Obs.on () && sp.rt.config.clean_batch <> None then
             Trace.instant (Obs.trace ()) ~cat:"gc" ~space:sp.id
               ~args:
                 [ ("owner", Trace.I owner); ("n", Trace.I (List.length items)) ]
               "clean_batch";
-          send_env sp ~dst:owner (Proto.Clean_batch { items }))
+          send_env sp ~dst:owner
+            (Proto.Clean
+               { items = List.map (fun (wr, seq, _) -> (wr, seq)) items });
+          List.iter (fun (wr, _, cl) -> schedule_clean_retry sp cl wr) items)
         by_owner
     end;
-    loop ()
-  in
-  loop ()
-
-(* Sends the clean call for a surrogate the collector found unreachable,
-   unless a fresh copy arrived meanwhile (the Note 4 cancellation). *)
-(* TR §2.3: an unacknowledged clean is repeated until it succeeds
-   (sequence numbers make the repeats idempotent), with capped
-   exponential backoff between attempts.  The pending timer's cancel is
-   stored on the Cleaning state so the owner's ack stops the cycle
-   immediately — a cancelled retry can neither fire after the state left
-   Cleaning nor hold the scheduler back from quiescing. *)
-let schedule_clean_retry sp cl wr =
-  match sp.rt.config.clean_retry with
-  | None -> ()
-  | Some base ->
-      let rec arm attempt =
-        cl.retry_cancel <-
-          Some
-            (Sched.timer_cancel (ssched sp)
-               (retry_delay sp ~attempt ~base)
-               (fun () ->
-                 if not sp.crashed then
-                   match Wirerep.Tbl.find_opt sp.table wr with
-                   | Some (Surrogate st) -> (
-                       match !st with
-                       | Cleaning cl' when cl' == cl ->
-                           sp.s_clean <- sp.s_clean + 1;
-                           count_retry sp "clean_retry" wr;
-                           if Obs.on () then Metrics.incr m_clean;
-                           send_env sp ~dst:wr.Wirerep.space
-                             (Proto.Clean
-                                {
-                                  wr;
-                                  seq =
-                                    Itbl.find sp.seqno (Wirerep.key wr)
-                                      ~default:0;
-                                  strong = false;
-                                });
-                           arm (attempt + 1)
-                       | Cleaning _ | Creating _ | Usable _ -> ())
-                   | Some (Concrete _) | None -> ()))
-      in
-      arm 0
-
-let cleaning_demon sp () =
-  let rec loop () =
-    let wr = Sched.Mailbox.recv sp.clean_mb in
-    (if not sp.crashed then
-       match Wirerep.Tbl.find_opt sp.table wr with
-       | Some (Surrogate st) -> (
-           match !st with
-           | Usable u when u.clean_scheduled ->
-               let cl = { resurrect = None; retry_cancel = None } in
-               st := Cleaning cl;
-               send_clean sp wr ~strong:false;
-               schedule_clean_retry sp cl wr
-           | Usable _ | Creating _ | Cleaning _ -> ())
-       | Some (Concrete _) | None -> ());
     loop ()
   in
   loop ()
@@ -1270,10 +1234,10 @@ let serve_call sp ~src ~call_id ~msg_id ~needs_ack ~target ~meth_name ~args
      been lost along with the reply); one of a still-executing call is
      dropped outright, its reply already owed. *)
   let cached =
-    (* [bug_no_dedup] reintroduces retry-without-at-most-once — every
+    (* [No_dedup] reintroduces retry-without-at-most-once — every
        retransmission re-executes — as a known-bug target for the model
        checker's call-retry scenario.  Never set it outside that. *)
-    if (not ron) || sp.rt.config.bug_no_dedup then None
+    if (not ron) || has_bug sp No_dedup then None
     else
       match Hashtbl.find_opt sp.reply_cache src with
       | None -> None
@@ -1287,7 +1251,7 @@ let serve_call sp ~src ~call_id ~msg_id ~needs_ack ~target ~meth_name ~args
       send_env sp ~dst:src env
   | None
     when ron
-         && (not sp.rt.config.bug_no_dedup)
+         && (not (has_bug sp No_dedup))
          && Hashtbl.mem sp.inflight (src, call_id) ->
       sp.s_call_deduped <- sp.s_call_deduped + 1;
       if Obs.on () then Metrics.incr m_call_deduped
@@ -1391,7 +1355,7 @@ let serve_call sp ~src ~call_id ~msg_id ~needs_ack ~target ~meth_name ~args
                    state; this completion must not debit the new
                    incarnation's gate.  The identity check keeps a
                    clobbered table entry (double execution under
-                   [bug_no_dedup]) owned by its live serve. *)
+                   [No_dedup]) owned by its live serve. *)
                 if sp.epoch = gen then begin
                   sp.inflight_count <- sp.inflight_count - 1;
                   match Hashtbl.find_opt sp.inflight (src, call_id) with
@@ -1434,10 +1398,9 @@ let apply_clean sp ~src ~wr ~seq =
         wal sp (Wal.Dirty { wr; client = src; seq; add = false })
       end
 
-let handle_clean sp ~src ~wr ~seq ~strong =
-  ignore strong;
-  apply_clean sp ~src ~wr ~seq;
-  send_env sp ~dst:src (Proto.Clean_ack { wr })
+let handle_clean sp ~src ~items =
+  List.iter (fun (wr, seq) -> apply_clean sp ~src ~wr ~seq) items;
+  send_env sp ~dst:src (Proto.Clean_ack { wrs = List.map fst items })
 
 let handle_dirty_ack sp ~wr ~ok =
   match Wirerep.Tbl.find_opt sp.table wr with
@@ -1528,7 +1491,7 @@ let handle_cancel sp ~src ~call_id ~msg_id:_ =
    in (l_acked, l_sent].  Anything else — a duplicate from a chaos dup
    burst, a delayed ack surfacing after partition/restart, an ack minted
    against a pre-crash epoch — is dropped, so replayed traffic can no
-   longer keep a dead client's lease alive.  [bug_ping_ack_replay]
+   longer keep a dead client's lease alive.  [Ping_ack_replay]
    resurrects the historical accept-anything behaviour for regression
    demonstrations. *)
 let handle_ping_ack sp ~src ~nonce =
@@ -1539,7 +1502,7 @@ let handle_ping_ack sp ~src ~nonce =
   match Hashtbl.find_opt sp.lease src with
   | None -> ()
   | Some l ->
-      if sp.rt.config.bug_ping_ack_replay then begin
+      if has_bug sp Ping_ack_replay then begin
         l.l_acked <- l.l_sent;
         Hashtbl.remove sp.suspect_since src
       end
@@ -1683,24 +1646,16 @@ let schedule_reassert sp peer =
     send ();
     let base = Option.value ~default:0.3 sp.rt.config.clean_retry in
     let gen = sp.epoch in
-    let rec arm attempt =
-      let cancel =
-        Sched.timer_cancel (ssched sp)
-          ~name:(Printf.sprintf "reassert-%d" sp.id)
-          (retry_delay sp ~attempt ~base)
-          (fun () ->
-            if
-              (not sp.crashed) && sp.epoch = gen
-              && not (Sched.Ivar.is_filled iv)
-            then begin
-              count_retry sp "reassert_retry" (fst (List.hd items));
-              send ();
-              arm (attempt + 1)
-            end)
-      in
-      Sched.Ivar.on_fill iv (fun () -> cancel ())
+    let pending () =
+      (not sp.crashed) && sp.epoch = gen && not (Sched.Ivar.is_filled iv)
     in
-    arm 0
+    Sched.Ivar.on_fill iv
+      (retransmit sp
+         ~name:(Printf.sprintf "reassert-%d" sp.id)
+         ~base ~pending
+         (fun () ->
+           count_retry sp "reassert_retry" (fst (List.hd items));
+           send ()))
   end
 
 (* A peer bumped its epoch but kept its continuity floor: same logical
@@ -1895,13 +1850,8 @@ let handle_envelope sp ~src env =
     | Proto.Copy_ack { msg_id } -> release_pins_for sp msg_id
     | Proto.Dirty { wr; seq } -> handle_dirty sp ~src ~wr ~seq
     | Proto.Dirty_ack { wr; ok } -> handle_dirty_ack sp ~wr ~ok
-    | Proto.Clean { wr; seq; strong } -> handle_clean sp ~src ~wr ~seq ~strong
-    | Proto.Clean_ack { wr } -> handle_clean_ack sp ~wr
-    | Proto.Clean_batch { items } ->
-        List.iter (fun (wr, seq) -> apply_clean sp ~src ~wr ~seq) items;
-        send_env sp ~dst:src
-          (Proto.Clean_batch_ack { wrs = List.map fst items })
-    | Proto.Clean_batch_ack { wrs } ->
+    | Proto.Clean { items } -> handle_clean sp ~src ~items
+    | Proto.Clean_ack { wrs } ->
         List.iter (fun wr -> handle_clean_ack sp ~wr) wrs
     | Proto.Ping { nonce } -> send_env sp ~dst:src (Proto.Ping_ack { nonce })
     | Proto.Ping_ack { nonce } -> handle_ping_ack sp ~src ~nonce
@@ -2134,7 +2084,7 @@ let run_trial sp suspect =
     | [] -> ()
     | _ when sp.crashed || sp.epoch <> epoch0 ->
         C.abort trial "coordinator epoch moved"
-    | _ when sp.rt.config.bug_skip_confirm && C.phase trial = C.Confirming ->
+    | _ when has_bug sp Skip_confirm && C.phase trial = C.Confirming ->
         (* The deliberately-broken variant for the model checker: stop
            here and commit the unconfirmed closure below. *)
         ()
@@ -2157,7 +2107,7 @@ let run_trial sp suspect =
   let committed =
     if sp.crashed || sp.epoch <> epoch0 then []
     else if
-      sp.rt.config.bug_skip_confirm
+      has_bug sp Skip_confirm
       && C.outcome trial = C.Pending
       && C.phase trial = C.Confirming
     then C.members trial
@@ -2775,11 +2725,11 @@ let lookup sp ~at name =
   (* The agent root must not outlive the call: a [Timeout] or
      [Remote_error] escaping here would otherwise leave the agent
      surrogate rooted forever, keeping a dirty entry at the owner.
-     [bug_lookup_leak] reintroduces exactly that historical bug (release
+     [Lookup_leak] reintroduces exactly that historical bug (release
      only on the success path) as a known-bug target for the model
      checker's schedules-to-first-bug benchmark. *)
   let result =
-    if sp.rt.config.bug_lookup_leak then begin
+    if has_bug sp Lookup_leak then begin
       let r = call () in
       release sp agent;
       r
@@ -3035,15 +2985,9 @@ let create (config : config) =
               Log.err (fun m ->
                   m "space %d: malformed envelope from %d: %s" sp.id src
                     (Printexc.to_string e)));
-      (match config.clean_batch with
-      | Some window ->
-          Sched.spawn (ssched sp)
-            ~name:(Printf.sprintf "clean-demon-%d" sp.id)
-            (cleaning_demon_batched sp window)
-      | None ->
-          Sched.spawn (ssched sp)
-            ~name:(Printf.sprintf "clean-demon-%d" sp.id)
-            (cleaning_demon sp));
+      Sched.spawn (ssched sp)
+        ~name:(Printf.sprintf "clean-demon-%d" sp.id)
+        (cleaning_demon sp);
       spawn_periodic_demons sp)
     rt.space_arr;
   rt
@@ -3115,12 +3059,7 @@ let restart rt i =
     sp.pending_cycles;
   Hashtbl.reset sp.pending_cycles;
   sp.recover_until <- 0.0;
-  let rec drain_mb () =
-    match Sched.Mailbox.try_recv sp.clean_mb with
-    | Some _ -> drain_mb ()
-    | None -> ()
-  in
-  drain_mb ();
+  ignore (drain_clean_mb sp);
   sp.next_index <- 0;
   sp.next_msg <- 0;
   sp.next_call <- 0;
@@ -3381,12 +3320,7 @@ let recover rt i =
       if not (Sched.Ivar.is_filled iv) then Sched.Ivar.fill iv (sp.epoch, []))
     sp.pending_cycles;
   Hashtbl.reset sp.pending_cycles;
-  let rec drain_mb () =
-    match Sched.Mailbox.try_recv sp.clean_mb with
-    | Some _ -> drain_mb ()
-    | None -> ()
-  in
-  drain_mb ();
+  ignore (drain_clean_mb sp);
   sp.next_index <- 0;
   sp.next_msg <- 0;
   sp.next_call <- 0;

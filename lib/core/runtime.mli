@@ -42,10 +42,24 @@ exception Timeout of string
 
 (** Runtime configuration.  The type is abstract: build one with the
     {!config} constructor (defaults are the fault-free baseline —
-    reliable reordering network, no demons, no timeouts) and derive
-    variants with {!override}.  New knobs can then be added without
-    breaking any call site. *)
+    reliable reordering network, no demons, no timeouts).  New knobs
+    can then be added without breaking any call site. *)
 type config
+
+(** Known bugs that {!config}[ ~bugs] can reintroduce.  They exist only
+    as targets for the model checker and regression tests that must
+    re-find them; never set one anywhere else.
+    - [Lookup_leak]: {!lookup} releases the agent root only on the
+      success path, so a [Timeout] strands the agent surrogate and its
+      dirty entry forever;
+    - [Ping_ack_replay]: a ping ack matches neither nonce nor epoch, so
+      a duplicated or delayed ack keeps renewing a partitioned client's
+      lease;
+    - [No_dedup]: the at-most-once reply cache is off while retries
+      stay armed, so every retransmission re-executes the method;
+    - [Skip_confirm]: the cycle detector commits trial closures without
+      the confirm round. *)
+type bug = Lookup_leak | Ping_ack_replay | No_dedup | Skip_confirm
 
 (** [config ~nspaces ()] with every knob optional:
     - [seed] drives all randomness (default [1L]);
@@ -87,26 +101,18 @@ type config
       copy_ack arrived after that long (TR §2.2's conservative timeout
       for lost acks); it must comfortably exceed latency + [call_timeout]
       so a merely-late ack never races the release;
+    - [clean_batch] makes the cleaning demon wait that many seconds
+      after the first scheduled clean, gather every clean scheduled
+      meanwhile and send one clean message per owner; each item in it
+      arms its own [clean_retry] timer, so a lost batch is retried like
+      a lost single clean;
     - [piggyback_acks] elides copy_acks for messages that carried no
       references and rides a call's ack on its reply — the paper's
       "piggy-back GC messages onto mutator messages";
     - [coalesce] routes every protocol message through the network's
       per-destination outbox ({!Net.post}), packing messages emitted at
       the same instant into one frame per edge;
-    - [bug_lookup_leak] reintroduces the historical {!lookup} bug (the
-      agent root released only on the success path, so a [Timeout]
-      strands the agent surrogate and its dirty entry forever) as a
-      known-bug target for the model checker's schedules-to-first-bug
-      benchmark.  Never set it outside that benchmark;
-    - [bug_ping_ack_replay] reintroduces the historical ping-ack bug
-      (acks matched neither nonce nor epoch, so a duplicated or delayed
-      ack kept renewing a partitioned client's lease) as a regression
-      target.  Never set it outside those tests;
-    - [bug_no_dedup] disables the at-most-once reply cache while
-      leaving retries armed — every retransmission re-executes the
-      method, the exact bug the cache exists to prevent — as a
-      known-bug target for the model checker's call-retry scenario.
-      Never set it outside that scenario;
+    - [bugs] (default none) reintroduces known bugs; see {!bug};
     - [durable] attaches a {!Netobj_store.Store} to every space: each
       logs its GC-relevant transitions (exports, dirty-set changes,
       roots, leases) write-ahead, making {!recover} available after a
@@ -120,9 +126,6 @@ type config
       periodically (default off): suspects that stayed
       dirty-kept-but-unreachable for 0.75 seconds get a trial deletion
       — see {!cycle_collect} for the protocol;
-    - [bug_skip_confirm] deliberately breaks the detector by committing
-      trial closures without the confirm round, as a known-bug target
-      for the model checker.  Never set it outside that scenario;
     - [transport] swaps the message transport: given a shard's
       scheduler and its simulated network (invoked once per shard), it
       returns the {!Netobj_transport.Transport.t} that shard's protocol
@@ -159,15 +162,12 @@ val config :
   ?clean_batch:float ->
   ?piggyback_acks:bool ->
   ?coalesce:bool ->
-  ?bug_lookup_leak:bool ->
-  ?bug_ping_ack_replay:bool ->
-  ?bug_no_dedup:bool ->
+  ?bugs:bug list ->
   ?durable:bool ->
   ?fsync_delay:float ->
   ?snapshot_period:float ->
   ?recover_grace:float ->
   ?cycle_period:float ->
-  ?bug_skip_confirm:bool ->
   ?transport:(Sched.t -> Net.t -> Netobj_transport.Transport.t) ->
   ?engine:(module Engine.S) ->
   ?domains:int ->
@@ -175,19 +175,9 @@ val config :
   unit ->
   config
 
-(** Derive a config overriding any subset of the rebindable knobs — the
-    single builder for config variants ([override ~seed:7L cfg],
-    [override ~policy:(Sched.Random s) ~coalesce:true cfg], ...). *)
-val override :
-  ?seed:int64 ->
-  ?policy:Sched.policy ->
-  ?edge:Net.edge_config ->
-  ?coalesce:bool ->
-  ?transport:(Sched.t -> Net.t -> Netobj_transport.Transport.t) ->
-  ?engine:(module Engine.S) ->
-  ?domains:int ->
-  config ->
-  config
+(** Derive a config with another scheduling policy
+    ([override ~policy:(Sched.Random s) cfg]). *)
+val override : ?policy:Sched.policy -> config -> config
 
 val config_nspaces : config -> int
 

@@ -535,7 +535,9 @@ let scenario_lookup ~leak () =
        purely by the schedule, no loss draws involved. *)
     let cfg =
       R.config ~nspaces:2 ~edge:(controlled_edge ()) ~call_timeout:0.012
-        ~pin_timeout:3.0 ~bug_lookup_leak:leak ()
+        ~pin_timeout:3.0
+        ~bugs:(if leak then [ R.Lookup_leak ] else [])
+        ()
     in
     let rt = setup x cfg [] in
     let sp0 = R.space rt 0 and sp1 = R.space rt 1 in
@@ -630,7 +632,7 @@ let scenario_cycle ~broken () =
      every report quiet, yet the cycle is live via the sink.  Only the
      confirm round (identical reports, unmoved touch counters, unmoved
      epochs) notices the movement.  With [broken]
-     ([R.config ~bug_skip_confirm:true]) the coordinator commits on the
+     ([R.config ~bugs:[Skip_confirm]]) the coordinator commits on the
      probe round alone and reclaims the live cycle, stranding the sink's
      rooted surrogate — which the per-step safety oracle catches and the
      recorded schedule replays.  With the confirm round in place the
@@ -639,7 +641,8 @@ let scenario_cycle ~broken () =
      ends clean. *)
   let run x =
     let cfg =
-      R.config ~nspaces:3 ~edge:(controlled_edge ()) ~bug_skip_confirm:broken
+      R.config ~nspaces:3 ~edge:(controlled_edge ())
+        ~bugs:(if broken then [ R.Skip_confirm ] else [])
         ()
     in
     let rt = setup x cfg [] in
@@ -726,14 +729,16 @@ let scenario_call_retry ~bug () =
      the original reply (and the owner's completed execution) may still
      be in flight.  The owner's reply cache must recognise the
      retransmit and replay the cached reply; with [bug]
-     ([R.config ~bug_no_dedup:true]) the cache and the in-flight drop
+     ([R.config ~bugs:[No_dedup]]) the cache and the in-flight drop
      are disabled and the retransmit re-executes the non-idempotent
      increment, which the end-of-run oracle reports as a double
      execution with a replayable schedule. *)
   let run x =
     let cfg =
       R.config ~nspaces:2 ~edge:(controlled_edge ()) ~call_timeout:0.012
-        ~pin_timeout:3.0 ~call_retries:1 ~bug_no_dedup:bug ()
+        ~pin_timeout:3.0 ~call_retries:1
+        ~bugs:(if bug then [ R.No_dedup ] else [])
+        ()
     in
     let rt = setup x cfg [] in
     let sp0 = R.space rt 0 and sp1 = R.space rt 1 in

@@ -155,7 +155,7 @@ val scenario_dgc3 : unit -> scenario
     between the slot-0 and slot-1 reply arrival times: on schedules
     where one client's reply is reordered behind the other's — a single
     delivery-slot choice — that [lookup] times out.  With [leak] set
-    ({!Runtime.config}[ ~bug_lookup_leak:true]) the timeout strands the
+    ({!Runtime.config}[ ~bugs:[Lookup_leak]]) the timeout strands the
     agent surrogate's root — the historical bug the drain oracle
     catches; with [leak] false the same schedules drain clean.  The race
     is decided purely by the schedule: no loss draws involved. *)
@@ -178,7 +178,7 @@ val scenario_recover : unit -> scenario
     which every probe-round report is quiet even though the cycle is
     live via the sink; only the confirm round (identical reports,
     unmoved touch counters and epochs) catches the movement.  With
-    [broken] ({!Runtime.config}[ ~bug_skip_confirm:true], scenario name
+    [broken] ({!Runtime.config}[ ~bugs:[Skip_confirm]], scenario name
     ["dgc-cycle-broken"]) the coordinator commits on the probe round
     alone and reclaims the live cycle — the stranded rooted surrogate
     trips the per-step safety oracle, with a replayable schedule.  With
@@ -193,7 +193,7 @@ val scenario_cycle : broken:bool -> unit -> scenario
     is slot-delayed the client retransmits the same [call_id] while the
     original reply — and the owner's completed execution — is still in
     flight.  The owner's reply cache must replay rather than re-execute.
-    With [bug] ({!Runtime.config}[ ~bug_no_dedup:true], scenario name
+    With [bug] ({!Runtime.config}[ ~bugs:[No_dedup]], scenario name
     ["call-retry-no-dedup"]) dedup is disabled and the retransmit runs
     the non-idempotent increment again; the end-of-run oracle reports
     the double execution with a replayable schedule.  With dedup intact

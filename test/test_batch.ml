@@ -1,6 +1,6 @@
 (* The cleaning-demon batching optimisation: many surrogate deaths in one
-   GC cycle produce one clean_batch message per owner, with identical
-   final state to the unbatched protocol. *)
+   GC cycle produce one clean message per owner, with identical final
+   state to the unbatched protocol. *)
 
 module R = Netobj_core.Runtime
 module Stub = Netobj_core.Stub
@@ -55,19 +55,20 @@ let run_churn ~batch ~k =
   let drained =
     List.for_all (fun (_, o) -> R.dirty_set owner o = []) objs
   in
-  (count "clean", count "clean_batch", drained)
+  (count "clean", count "clean_ack", drained)
 
 let test_batching_reduces_messages () =
   let k = 10 in
-  let cleans, batches, drained = run_churn ~batch:false ~k in
+  let cleans, acks, drained = run_churn ~batch:false ~k in
   Alcotest.(check bool) "unbatched drains" true drained;
-  (* k object surrogates + 1 agent surrogate, one clean each *)
+  (* k object surrogates + 1 agent surrogate, one clean and ack each *)
   Alcotest.(check int) "unbatched cleans" (k + 1) cleans;
-  Alcotest.(check int) "no batch messages" 0 batches;
-  let cleans_b, batches_b, drained_b = run_churn ~batch:true ~k in
+  Alcotest.(check int) "unbatched acks" (k + 1) acks;
+  let cleans_b, acks_b, drained_b = run_churn ~batch:true ~k in
   Alcotest.(check bool) "batched drains" true drained_b;
-  Alcotest.(check int) "no single cleans" 0 cleans_b;
-  Alcotest.(check int) "one batch message" 1 batches_b
+  (* all k + 1 items ride one clean, answered by one ack *)
+  Alcotest.(check int) "one batched clean" 1 cleans_b;
+  Alcotest.(check int) "one batched ack" 1 acks_b
 
 (* Batching respects the Note 4 cancellation: a re-import inside the
    batching window withdraws that object's clean from the batch. *)
@@ -125,10 +126,10 @@ let test_batch_multi_owner () =
   ignore (R.run rt);
   no_failures rt;
   let kinds = Net.stats_by_kind (R.net rt) in
-  let batches =
-    Option.value ~default:(0, 0) (List.assoc_opt "clean_batch" kinds) |> fst
+  let cleans =
+    Option.value ~default:(0, 0) (List.assoc_opt "clean" kinds) |> fst
   in
-  Alcotest.(check int) "one batch per owner" 2 batches;
+  Alcotest.(check int) "one clean per owner" 2 cleans;
   Alcotest.(check (list int)) "a drained" [] (R.dirty_set o1 a);
   Alcotest.(check (list int)) "b drained" [] (R.dirty_set o2 b)
 

@@ -200,9 +200,11 @@ let test_clean_retry_no_resend () =
   Alcotest.(check (list string)) "consistent" [] (R.check_consistency rt)
 
 (* Lossy path: the clean goes into a partition and is resent until the
-   heal lets the ack back; after that the retry count must freeze. *)
-let test_clean_retry_stops_after_ack () =
-  let cfg = R.config ~seed:17L ~clean_retry:0.5 ~nspaces:2 () in
+   heal lets the ack back; after that the retry count must freeze.  Run
+   unbatched and with a batching window: a lost batched clean must be
+   retried like a single one. *)
+let clean_retry_stops_after_ack ?clean_batch () =
+  let cfg = R.config ~seed:17L ~clean_retry:0.5 ?clean_batch ~nspaces:2 () in
   let rt = R.create cfg in
   let owner = R.space rt 0 and client = R.space rt 1 in
   let h = counter_obj owner in
@@ -228,6 +230,10 @@ let test_clean_retry_stops_after_ack () =
   let steps = R.run ~max_steps:50 rt in
   Alcotest.(check int) "scheduler idle after ack" 0 steps;
   Alcotest.(check (list string)) "consistent" [] (R.check_consistency rt)
+
+let test_clean_retry_stops_after_ack () =
+  clean_retry_stops_after_ack ();
+  clean_retry_stops_after_ack ~clean_batch:0.05 ()
 
 let () =
   Alcotest.run "chaos"

@@ -33,13 +33,29 @@ let test_envelopes () =
   check_env "copy_ack" (Proto.Copy_ack { msg_id = mid });
   check_env "dirty" (Proto.Dirty { wr; seq = 12 });
   check_env "dirty_ack" (Proto.Dirty_ack { wr; ok = false });
-  check_env "clean" (Proto.Clean { wr; seq = 13; strong = true });
-  check_env "clean_ack" (Proto.Clean_ack { wr });
+  check_env "clean" (Proto.Clean { items = [ (wr, 13) ] });
+  check_env "clean, several items"
+    (Proto.Clean { items = [ (wr, 13); (Wirerep.v ~space:3 ~index:4, 2) ] });
+  check_env "clean_ack" (Proto.Clean_ack { wrs = [ wr ] });
   check_env "ping" (Proto.Ping { nonce = 5 });
   check_env "ping_ack" (Proto.Ping_ack { nonce = 5 });
   check_env "cancel" (Proto.Cancel { call_id = 7; msg_id = mid });
   check_env "busy" (Proto.Busy { call_id = 7 });
   check_env "expired" (Proto.Expired { call_id = 7 })
+
+(* Retired tags 9 and 10 must be rejected like any unknown tag. *)
+let test_retired_tags () =
+  let clean = P.encode Proto.codec (Proto.Clean { items = [ (wr, 1) ] }) in
+  List.iter
+    (fun tag ->
+      let s =
+        String.make 1 (Char.chr tag)
+        ^ String.sub clean 1 (String.length clean - 1)
+      in
+      match P.decode Proto.codec s with
+      | _ -> Alcotest.failf "tag %d decoded" tag
+      | exception _ -> ())
+    [ 9; 10 ]
 
 let test_kinds_distinct () =
   let envs =
@@ -49,8 +65,8 @@ let test_kinds_distinct () =
       Proto.Copy_ack { msg_id = mid };
       Proto.Dirty { wr; seq = 0 };
       Proto.Dirty_ack { wr; ok = true };
-      Proto.Clean { wr; seq = 0; strong = false };
-      Proto.Clean_ack { wr };
+      Proto.Clean { items = [ (wr, 0) ] };
+      Proto.Clean_ack { wrs = [ wr ] };
       Proto.Ping { nonce = 0 };
       Proto.Ping_ack { nonce = 0 };
       Proto.Cancel { call_id = 0; msg_id = mid };
@@ -109,16 +125,12 @@ let env_gen =
                 map (fun s -> Error s) string_small;
               ]));
       map
-        (fun items -> Proto.Clean_batch { items })
+        (fun items -> Proto.Clean { items })
         (small_list (tup2 wr_gen nat));
-      map (fun wrs -> Proto.Clean_batch_ack { wrs }) (small_list wr_gen);
+      map (fun wrs -> Proto.Clean_ack { wrs }) (small_list wr_gen);
       map (fun m -> Proto.Copy_ack { msg_id = m }) mid_gen;
       map2 (fun w s -> Proto.Dirty { wr = w; seq = s }) wr_gen nat;
       map2 (fun w b -> Proto.Dirty_ack { wr = w; ok = b }) wr_gen bool;
-      map3
-        (fun w s st -> Proto.Clean { wr = w; seq = s; strong = st })
-        wr_gen nat bool;
-      map (fun w -> Proto.Clean_ack { wr = w }) wr_gen;
       map (fun n -> Proto.Ping { nonce = n }) nat;
       map (fun n -> Proto.Ping_ack { nonce = n }) nat;
     ]
@@ -155,6 +167,7 @@ let () =
         [
           Alcotest.test_case "roundtrips" `Quick test_envelopes;
           Alcotest.test_case "kinds distinct" `Quick test_kinds_distinct;
+          Alcotest.test_case "retired tags rejected" `Quick test_retired_tags;
           QCheck_alcotest.to_alcotest prop_roundtrip;
         ] );
       ("wirerep", [ Alcotest.test_case "basics" `Quick test_wirerep ]);

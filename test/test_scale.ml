@@ -5,7 +5,7 @@
    agree with a from-scratch fold over the object table at all times.
 
    The replay scenarios pin the ping-ack bugfix: pre-fix
-   ([bug_ping_ack_replay]) any ack — duplicated, delayed, or minted
+   ([Ping_ack_replay] in [bugs]) any ack — duplicated, delayed, or minted
    against a dead epoch — reset the miss counter, so a replayed ack
    kept a partitioned client's lease alive forever. *)
 
@@ -59,7 +59,8 @@ let no_failures rt =
 let replay_scenario ~bug () =
   let cfg =
     R.config ~seed:5L ~gc_period:0.5 ~ping_period:1.0 ~lease_misses:3
-      ~bug_ping_ack_replay:bug ~nspaces:2 ()
+      ~bugs:(if bug then [ R.Ping_ack_replay ] else [])
+      ~nspaces:2 ()
   in
   let rt = R.create cfg in
   let owner = R.space rt 0 and client = R.space rt 1 in
@@ -111,7 +112,7 @@ let test_replay_expires_with_fix () =
     (Printf.sprintf "replays counted as stale (%d)" stale)
     true (stale > 0)
 
-(* The regression guard: on pre-fix code (the [bug_ping_ack_replay]
+(* The regression guard: on pre-fix code (the [Ping_ack_replay]
    re-introduction) the very same nemesis keeps the dead client's
    lease alive forever — this is what the fix kills. *)
 let test_replay_immortal_without_fix () =

@@ -10,8 +10,8 @@
      before the first rpc/"call" async_begin from that client to that
      target.
    - Clean batching (TR §2.2): with a batching window configured, the
-     cleans from one GC cycle coalesce into a single clean_batch message
-     per owner; no standalone clean message is ever sent. *)
+     cleans from one GC cycle coalesce into a single clean message per
+     owner. *)
 
 module Obs = Netobj_obs.Obs
 module Trace = Netobj_obs.Trace
@@ -154,15 +154,9 @@ let test_clean_batch_coalesces () =
         e.Trace.cat = "gc" && e.Trace.name = "clean_batch"
         && e.Trace.phase = Trace.Instant)
   in
-  let standalone_clean_msgs =
+  let clean_msgs =
     count (fun e ->
         e.Trace.cat = "net" && e.Trace.name = "clean"
-        && e.Trace.phase = Trace.Async_begin)
-  in
-  let batch_msgs =
-    count (fun e ->
-        e.Trace.cat = "net"
-        && e.Trace.name = "clean_batch"
         && e.Trace.phase = Trace.Async_begin)
   in
   let clean_spans =
@@ -172,10 +166,9 @@ let test_clean_batch_coalesces () =
   in
   Obs.disable ();
   (* All 13 surrogates (12 counters + the agent) die in one GC cycle and
-     share one owner: exactly one batch, zero standalone cleans. *)
+     share one owner: exactly one batch, carried by one clean message. *)
   Alcotest.(check int) "one clean_batch instant" 1 batch_instants;
-  Alcotest.(check int) "one clean_batch message" 1 batch_msgs;
-  Alcotest.(check int) "no standalone clean messages" 0 standalone_clean_msgs;
+  Alcotest.(check int) "one clean message" 1 clean_msgs;
   Alcotest.(check int) "every surrogate got a clean span" 13 clean_spans
 
 let () =
