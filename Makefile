@@ -1,4 +1,4 @@
-.PHONY: all build test loc bench bench-json bench-compare chaos-smoke chaos-sweep mc-smoke recover-smoke transport-smoke par-smoke cycles-smoke scale-smoke reliability-smoke verify examples check clean doc
+.PHONY: all build test loc bench bench-json bench-compare chaos-smoke chaos-sweep mc-smoke recover-smoke transport-smoke perf-smoke par-smoke cycles-smoke scale-smoke reliability-smoke verify examples check clean doc
 
 all: build
 
@@ -86,6 +86,19 @@ transport-smoke:
 	dune exec test/test_transport_conformance.exe
 	dune exec bin/netobj_sim.exe -- transport-demo --seed 7
 
+# Benchmark smoke: the repo benchmark's two loopback-TCP workloads
+# (perfbench echo and workqueue, see BENCHMARK.json) for two seconds
+# each.  Fails unless each run reports "correct": true with no failed
+# op.  Skips where loopback is unavailable, as transport-smoke does.
+perf-smoke:
+	@if ! python3 -c 'import socket; s = socket.socket(); s.bind(("127.0.0.1", 0)); s.close()' 2>/dev/null; then \
+	  echo "perf-smoke: skipped (loopback unavailable)"; exit 0; \
+	fi; \
+	for w in echo workqueue; do \
+	  out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 0) || exit 1; \
+	  printf '%s\n' "$$out" | tail -n 1 | python3 -c 'import json, sys; d = json.load(sys.stdin); ok = d["correct"] is True and d["failed"] == 0; print("perf-smoke %s: correct=%s attempted=%d failed=%d" % (sys.argv[1], d["correct"], d["attempted"], d["failed"])); sys.exit(0 if ok else 1)' $$w || exit 1; \
+	done
+
 # Cycle-collection smoke: the deterministic three-space ring narrative
 # (leak under the listing collector, reclaim under trial deletion), a
 # seeded chaos run with the cycle workload and detector demon armed,
@@ -130,8 +143,8 @@ reliability-smoke:
 	dune exec bin/netobj_sim.exe -- chaos --seed 3 --storms 2
 
 # The full local gate: build everything, run the test suite (unit,
-# property, cram), the eight smoke targets and the chaos seed sweep.
-verify: build test chaos-smoke chaos-sweep mc-smoke recover-smoke transport-smoke par-smoke cycles-smoke scale-smoke reliability-smoke
+# property, cram), the nine smoke targets and the chaos seed sweep.
+verify: build test chaos-smoke chaos-sweep mc-smoke recover-smoke transport-smoke perf-smoke par-smoke cycles-smoke scale-smoke reliability-smoke
 
 examples:
 	dune exec examples/quickstart.exe

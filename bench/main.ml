@@ -1299,15 +1299,8 @@ let e21_transport () =
     (match backend with
     | `Sim -> ignore (R.run rt)
     | `Tcp ->
-        let tr = R.transport rt and sched = R.sched rt in
-        while (not !finished) && Unix.gettimeofday () -. t0 < 60.0 do
-          let before = Sched.now sched in
-          ignore (R.run rt ~until:(before +. 0.05));
-          let n = Transport.pump tr ~timeout:0.001 in
-          if n = 0 && Sched.now sched = before then
-            Sched.timer sched ~name:"drive-tick" 0.05 (fun () -> ())
-        done;
-        Transport.close tr);
+        ignore (R.drive rt ~wall:60.0 ~stop:(fun () -> !finished));
+        Transport.close (R.transport rt));
     let wall = Unix.gettimeofday () -. t0 in
     if not !finished then
       Fmt.failwith "E21: %s backend did not finish"

@@ -1064,22 +1064,6 @@ let parse_peer s =
       | _ -> Fmt.failwith "bad --peer %S (want ADDR:HOST:PORT)" s)
   | _ -> Fmt.failwith "bad --peer %S (want ADDR:HOST:PORT)" s
 
-(* Interleave short virtual-time slices (fibers, flush timers, call
-   timeouts) with real socket pumping.  The virtual clock only moves to
-   timer deadlines, so when both clocks stall (fibers parked on calls,
-   no traffic) a no-op timer nudges it forward — that is what converts
-   wall-clock waiting into virtual-clock timeout progress. *)
-let drive rt ~deadline ~stop =
-  let sched = R.sched rt in
-  let tr = R.transport rt in
-  while (not (stop ())) && Unix.gettimeofday () < deadline do
-    let before = Sched.now sched in
-    ignore (R.run rt ~until:(before +. 0.05));
-    let n = Transport.pump tr ~timeout:0.005 in
-    if n = 0 && Sched.now sched = before then
-      Sched.timer sched ~name:"drive-tick" 0.05 (fun () -> ())
-  done
-
 let tcp_config ?tcp_ref ~seed ~spaces ~serving ~endpoints () =
   R.config ~seed:(Int64.of_int seed) ~nspaces:spaces ~call_timeout:5.0
     ~dirty_timeout:5.0
@@ -1136,8 +1120,7 @@ let serve engine backend addr spaces port portfile peers seed epoch duration
   if not quiet then
     Fmt.pr "serving space %d/%d: \"counter\" published (epoch %d)@." addr
       spaces (R.epoch sp);
-  let deadline = Unix.gettimeofday () +. duration in
-  drive rt ~deadline ~stop:(fun () -> false);
+  ignore (R.drive rt ~wall:duration ~stop:(fun () -> false) : bool);
   0
 
 let connect engine backend addr spaces peers seed =
@@ -1167,8 +1150,7 @@ let connect engine backend addr spaces peers seed =
       R.collect sp;
       Sched.sleep (R.sched rt) 0.3;
       finished := true);
-  let deadline = Unix.gettimeofday () +. 30.0 in
-  drive rt ~deadline ~stop:(fun () -> !finished);
+  ignore (R.drive rt ~wall:30.0 ~stop:(fun () -> !finished) : bool);
   if not !finished then begin
     Fmt.pr "connect: did not complete@.";
     failed := true
@@ -1348,8 +1330,7 @@ let transport_demo seed =
           R.release sp h1
         end;
         finished := true);
-    let deadline = Unix.gettimeofday () +. 60.0 in
-    drive rt ~deadline ~stop:(fun () -> !finished);
+    ignore (R.drive rt ~wall:60.0 ~stop:(fun () -> !finished) : bool);
     (match Sched.failures (R.sched rt) with
     | [] -> ()
     | (n, e) :: _ -> fail "fiber %s raised %s" n (Printexc.to_string e));

@@ -365,7 +365,13 @@ and space = {
   tdirty : (Proto.msg_id, Wirerep.t list) Hashtbl.t;
   pending_calls : (int, call_outcome Sched.Ivar.var) Hashtbl.t;
   clean_mb : Wirerep.t Sched.Mailbox.mb;
-  seqno : Itbl.t;  (* Wirerep.key -> client-side dirty/clean sequence number *)
+  (* Wirerep.key -> the client-side dirty/clean sequence number in
+     flight, kept only while the wireRep has a table entry (retransmits
+     reuse it).  Values come from [next_seq], one counter for the whole
+     space: it only has to increase per (client, wireRep), which is all
+     the owner's [c_last_seq] compares. *)
+  seqno : Itbl.t;
+  mutable next_seq : int;
   bindings : (string, Wirerep.t) Hashtbl.t;  (* agent name table *)
   (* per-client lease aggregate (TR 116): one heartbeat per (client,
      owner) pair renews every entry the client holds here, and eviction
@@ -420,12 +426,14 @@ and space = {
   mutable s_call_expired : int;
   mutable s_call_executed : int;
   (* --- cycle detector (soft state: never persisted, rebuilt at will) ---
-     [touch] is the per-wireRep mutation counter the confirm phase
-     compares: bumped on every root/pin/dirty/table change, never reset
-     within an incarnation (reuse would re-open the ABA window a moved
-     reference needs to dodge both probe rounds), cleared only by
-     restart/recover where the epoch bump aborts in-flight trials. *)
-  touch : Itbl.t;  (* Wirerep.key -> mutation counter *)
+     [touch] holds the stamp the confirm phase compares: every
+     root/pin/dirty/table change of a resident wireRep restamps it from
+     [next_touch], which never repeats a value within the space.  The
+     entry goes with the table entry; a wireRep that leaves and comes
+     back gets a fresh stamp, so a moved reference cannot dodge both
+     probe rounds (no ABA) and nothing outlives the object. *)
+  touch : Itbl.t;  (* Wirerep.key -> last stamp *)
+  mutable next_touch : int;
   (* suspect -> virtual time it was first seen dirty-kept-but-unreachable;
      trials start only after [cycle_age] seconds of continuous suspicion *)
   cycle_suspect_since : float Wirerep.Tbl.t;
@@ -516,13 +524,20 @@ let wal sp r =
   | None -> ()
   | Some st -> Store.append st (Pickle.encode Wal.record_codec r)
 
-(* Bump the wireRep's local mutation counter (see the [touch] field).
-   Entries are never removed within an incarnation: a remove/re-add
-   would restart the count and re-open the ABA window the cycle
-   detector's confirm phase closes. *)
+(* Restamp a resident wireRep (see the [touch] field).  A wireRep with
+   no table entry has nothing to report to a probe, so it gets none. *)
 let bump_touch sp wr =
+  if Wirerep.Tbl.mem sp.table wr then begin
+    sp.next_touch <- sp.next_touch + 1;
+    Itbl.replace sp.touch (Wirerep.key wr) sp.next_touch
+  end
+
+(* Remove a table entry together with its per-wireRep bookkeeping. *)
+let remove_entry sp wr =
+  Wirerep.Tbl.remove sp.table wr;
   let k = Wirerep.key wr in
-  Itbl.replace sp.touch k (Itbl.find sp.touch k ~default:0 + 1)
+  Itbl.remove sp.touch k;
+  Itbl.remove sp.seqno k
 
 (* --- lease / dirty-set aggregates ---------------------------------------
 
@@ -640,6 +655,28 @@ let run ?max_steps ?until rt =
   end;
   steps
 
+(* A pump returns as soon as a socket is ready, so its timeout only
+   bounds how late a timer can fire while the sockets are idle. *)
+let drive_pump_timeout = 0.005
+
+let drive rt ~wall ~stop =
+  let sched = sched rt and tr = transport rt in
+  let v0 = Sched.now sched and w0 = Unix.gettimeofday () in
+  let rec loop () =
+    stop ()
+    ||
+    let elapsed = Unix.gettimeofday () -. w0 in
+    elapsed < wall
+    && begin
+         let now = v0 +. elapsed in
+         ignore (run rt ~until:now);
+         Sched.advance sched now;
+         ignore (Transport.pump tr ~timeout:drive_pump_timeout);
+         loop ()
+       end
+  in
+  loop ()
+
 let spawn rt ?name f = Engine.spawn rt.engine ~shard:0 ?name f
 
 (* Pin a fiber to the shard owning [space]: required for any fiber that
@@ -659,9 +696,9 @@ let fresh_msg_id sp =
   { Proto.origin = sp.id; seq }
 
 let next_seqno sp wr =
-  let k = Wirerep.key wr in
-  let n = Itbl.find sp.seqno k ~default:0 + 1 in
-  Itbl.replace sp.seqno k n;
+  let n = sp.next_seq + 1 in
+  sp.next_seq <- n;
+  Itbl.replace sp.seqno (Wirerep.key wr) n;
   wal sp (Wal.Seqno { wr; n });
   n
 
@@ -825,6 +862,7 @@ let acquire_surrogate sp wr =
   | None ->
       let iv = Sched.Ivar.create () in
       Wirerep.Tbl.add sp.table wr (Surrogate (ref (Creating iv)));
+      bump_touch sp wr;
       send_dirty_retrying sp wr iv;
       Some iv
 
@@ -1012,8 +1050,7 @@ let collect sp =
       sp.table;
     List.iter
       (fun wr ->
-        Wirerep.Tbl.remove sp.table wr;
-        bump_touch sp wr;
+        remove_entry sp wr;
         wal sp (Wal.Reclaim wr);
         sp.n_reclaimed <- sp.n_reclaimed + 1;
         Log.debug (fun m -> m "space %d reclaimed %a" sp.id Wirerep.pp wr))
@@ -1074,7 +1111,7 @@ let global_collect rt =
         sp.table;
       List.iter
         (fun wr ->
-          Wirerep.Tbl.remove sp.table wr;
+          remove_entry sp wr;
           sp.n_reclaimed <- sp.n_reclaimed + 1)
         !dead)
     rt.space_arr;
@@ -1416,10 +1453,7 @@ let handle_dirty_ack sp ~wr ~ok =
             st := Usable { clean_scheduled = false };
             wal sp (Wal.Surrogate { wr; add = true })
           end
-          else begin
-            Wirerep.Tbl.remove sp.table wr;
-            bump_touch sp wr
-          end;
+          else remove_entry sp wr;
           Sched.Ivar.fill iv ok
       | Usable _ | Cleaning _ -> () (* stale (e.g. duplicated) ack *))
   | Some (Concrete _) | None -> ()
@@ -1438,8 +1472,7 @@ let handle_clean_ack sp ~wr =
       | Cleaning ({ resurrect = None; _ } as cl) ->
           (match cl.retry_cancel with Some c -> c () | None -> ());
           obs_end_clean sp wr ~resurrected:false;
-          Wirerep.Tbl.remove sp.table wr;
-          bump_touch sp wr;
+          remove_entry sp wr;
           wal sp (Wal.Surrogate { wr; add = false })
       | Cleaning ({ resurrect = Some iv; _ } as cl) ->
           (match cl.retry_cancel with Some c -> c () | None -> ());
@@ -1607,8 +1640,7 @@ let handle_reassert_ack sp ~src ~ok ~gone =
       | Some (Surrogate st) -> (
           match !st with
           | Usable _ ->
-              Wirerep.Tbl.remove sp.table wr;
-              bump_touch sp wr;
+              remove_entry sp wr;
               wal sp (Wal.Surrogate { wr; add = false });
               Itbl.remove sp.roots (Wirerep.key wr);
               Itbl.remove sp.pins (Wirerep.key wr);
@@ -1813,8 +1845,7 @@ let handle_cycle_commit sp ~wrs =
         match Wirerep.Tbl.find_opt sp.table wr with
         | Some (Concrete c) when not (Itbl.mem marked (Wirerep.key wr)) ->
             forget_concrete_dirty sp c;
-            Wirerep.Tbl.remove sp.table wr;
-            bump_touch sp wr;
+            remove_entry sp wr;
             Wirerep.Tbl.remove sp.cycle_suspect_since wr;
             wal sp (Wal.Reclaim wr);
             sp.n_reclaimed <- sp.n_reclaimed + 1;
@@ -1961,8 +1992,7 @@ let forget_peer_state sp peer =
     sp.table;
   List.iter
     (fun wr ->
-      Wirerep.Tbl.remove sp.table wr;
-      bump_touch sp wr;
+      remove_entry sp wr;
       wal sp (Wal.Surrogate { wr; add = false });
       (* Drop root/pin counts with the entry: the restarted peer reuses
          wirerep indices, so a stale count would pin its {e next} object
@@ -2819,8 +2849,7 @@ let build_snapshot sp =
       Hashtbl.fold
         (fun (m : Proto.msg_id) wrs acc -> (m.Proto.seq, wrs) :: acc)
         sp.tdirty [];
-    s_seqno =
-      Itbl.fold (fun k n acc -> (Wirerep.of_key k, n) :: acc) sp.seqno [];
+    s_next_seq = sp.next_seq;
     s_bindings = Hashtbl.fold (fun k v acc -> (k, v) :: acc) sp.bindings [];
   }
 
@@ -2882,6 +2911,7 @@ let make_space rt id =
     pending_calls = Hashtbl.create 16;
     clean_mb = Sched.Mailbox.create ();
     seqno = Itbl.create ~size:16 ();
+    next_seq = 0;
     bindings = Hashtbl.create 8;
     lease = Hashtbl.create 8;
     dirty_kept = Itbl.create ~size:16 ();
@@ -2921,6 +2951,7 @@ let make_space rt id =
     s_call_expired = 0;
     s_call_executed = 0;
     touch = Itbl.create ~size:64 ();
+    next_touch = 0;
     cycle_suspect_since = Wirerep.Tbl.create 16;
     pending_cycles = Hashtbl.create 8;
     next_probe = 0;
@@ -3035,6 +3066,7 @@ let restart rt i =
   Hashtbl.reset sp.inflight;
   sp.inflight_count <- 0;
   Itbl.reset sp.seqno;
+  sp.next_seq <- 0;
   Hashtbl.reset sp.bindings;
   Hashtbl.reset sp.lease;
   Itbl.reset sp.dirty_kept;
@@ -3048,9 +3080,8 @@ let restart rt i =
     sp.pending_reassert;
   Hashtbl.reset sp.pending_reassert;
   Hashtbl.reset sp.unconfirmed;
-  (* Detector state is soft and epoch-scoped: the new incarnation's
-     counters may start from zero because every in-flight trial that
-     heard from the old one aborts on the epoch bump. *)
+  (* Detector state is soft: the table is empty, so are the stamps
+     ([next_touch] carries on, stamps never repeat). *)
   Itbl.reset sp.touch;
   Wirerep.Tbl.reset sp.cycle_suspect_since;
   Hashtbl.iter
@@ -3188,9 +3219,7 @@ let replay_record sp r =
         Itbl.remove sp.roots (Wirerep.key wr);
         Itbl.remove sp.pins (Wirerep.key wr)
       end
-  | Wal.Seqno { wr; n } ->
-      let k = Wirerep.key wr in
-      if n > Itbl.find sp.seqno k ~default:0 then Itbl.replace sp.seqno k n
+  | Wal.Seqno { wr = _; n } -> if n > sp.next_seq then sp.next_seq <- n
   | Wal.Pins { msg; wrs } ->
       Hashtbl.replace sp.tdirty { Proto.origin = sp.id; seq = msg } wrs;
       List.iter (fun wr -> bump sp.pins wr) wrs;
@@ -3250,9 +3279,7 @@ let apply_snapshot sp (s : Wal.snapshot) =
       Hashtbl.replace sp.tdirty { Proto.origin = sp.id; seq = msg } wrs;
       List.iter (fun wr -> bump sp.pins wr) wrs)
     s.Wal.s_pins;
-  List.iter
-    (fun (wr, n) -> Itbl.replace sp.seqno (Wirerep.key wr) n)
-    s.Wal.s_seqno;
+  sp.next_seq <- s.Wal.s_next_seq;
   List.iter
     (fun (name, wr) -> Hashtbl.replace sp.bindings name wr)
     s.Wal.s_bindings
@@ -3310,9 +3337,8 @@ let recover rt i =
   Hashtbl.reset sp.peer_epoch;
   Hashtbl.reset sp.pending_reassert;
   Hashtbl.reset sp.unconfirmed;
-  (* Detector state is soft: touch counters and suspicion ages restart
-     from zero — safe because the epoch bump aborts every in-flight
-     trial that ever heard from the previous incarnation. *)
+  (* Detector state is soft: stamps and suspicion ages restart with the
+     table ([next_touch] carries on, stamps never repeat). *)
   Itbl.reset sp.touch;
   Wirerep.Tbl.reset sp.cycle_suspect_since;
   Hashtbl.iter
@@ -3346,8 +3372,7 @@ let recover rt i =
   (* Watermark slack: seqnos, message ids and call ids minted after the
      last durable record were lost with the unsynced tail; jump past
      anything that could collide with a late ack or reply. *)
-  let seqs = Itbl.fold (fun k n acc -> (k, n) :: acc) sp.seqno [] in
-  List.iter (fun (k, n) -> Itbl.replace sp.seqno k (n + 64)) seqs;
+  sp.next_seq <- sp.next_seq + 64;
   sp.next_msg <- sp.next_msg + 1024;
   sp.next_call <- sp.next_call + 1024;
   sp.crashed <- false;
@@ -3465,6 +3490,8 @@ let surrogate_count sp =
   Wirerep.Tbl.fold
     (fun _ e acc -> match e with Surrogate _ -> acc + 1 | Concrete _ -> acc)
     sp.table 0
+
+let bookkeeping sp = (Itbl.length sp.touch, Itbl.length sp.seqno)
 
 let surrogate_summary sp =
   Wirerep.Tbl.fold
@@ -3638,6 +3665,18 @@ let check_consistency rt =
           report "space %d: %d calls still executing at quiescence" sp.id
             (Hashtbl.length sp.inflight);
         List.iter (fun s -> problems := s :: !problems) (lease_check sp);
+        (* Per-wireRep bookkeeping lives only as long as its entry. *)
+        let orphans what tbl =
+          Itbl.iter
+            (fun k _ ->
+              let wr = Wirerep.of_key k in
+              if not (Wirerep.Tbl.mem sp.table wr) then
+                report "space %d: %s entry for %a with no table entry" sp.id
+                  what Wirerep.pp wr)
+            tbl
+        in
+        orphans "touch" sp.touch;
+        orphans "seqno" sp.seqno;
         Wirerep.Tbl.iter
           (fun wr entry ->
             match entry with

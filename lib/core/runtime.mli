@@ -71,7 +71,9 @@ type bug = Lookup_leak | Ping_ack_replay | No_dedup | Skip_confirm
     - [call_timeout] / [dirty_timeout] bound remote calls and surrogate
       creation; [clean_retry] re-sends unacknowledged clean calls and
       [dirty_retry] does the same for unacknowledged dirty calls (both
-      idempotent thanks to sequence numbers);
+      idempotent thanks to sequence numbers: each space draws them from
+      one counter, so they increase per (client, object) across every
+      registration cycle, and a retransmit reuses its original number);
     - [call_retries] (default 0) arms automatic retransmission of
       remote calls: each attempt's [call_timeout] window doubles as the
       retransmission timer (growing with the [backoff] schedule below),
@@ -229,6 +231,18 @@ val spaces : t -> space list
     quiescence at [until], which is then required). *)
 val run : ?max_steps:int -> ?until:float -> t -> int
 
+(** [drive rt ~wall ~stop] drives a runtime whose transport does real
+    I/O ({!Netobj_transport.Tcp}): it alternates scheduler slices with
+    {!Netobj_transport.Transport.pump} rounds, each waiting at most
+    5 ms for I/O, until [stop ()] holds or [wall] seconds of wall time
+    have passed, and returns [stop ()].
+    Virtual time follows wall time: each slice runs the scheduler up to
+    [v0 + elapsed], where [v0] is the virtual clock on entry and
+    [elapsed] the wall time since, and moves the clock there, so a
+    virtual timeout or sleep lasts the same span of wall time however
+    busy or idle the sockets are.  Shard 0 only: the sim engine. *)
+val drive : t -> wall:float -> stop:(unit -> bool) -> bool
+
 (** Spawn a fiber (application code) on shard 0 — blocking calls are
     only legal inside a fiber. *)
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
@@ -326,10 +340,13 @@ val global_collect : t -> int
     dirty-kept-but-locally-unreachable (no ageing) gets a {e trial
     deletion}.  A trial computes the backward closure of the suspect by
     probing owners and dirty-set members (stateless responders answer
-    from local reachability plus per-wireRep {e touch counters}), then
-    re-probes everything and commits only on byte-identical reports
-    under unchanged epochs — any live report, vanished entry, counter
-    movement or epoch bump aborts conservatively.  Commits are
+    from local reachability plus per-wireRep {e touch stamps}: every
+    root, pin, dirty-set or table change restamps a resident wireRep
+    from a space-wide counter that never repeats a value, and the stamp
+    leaves with the table entry), then re-probes everything and commits
+    only on byte-identical reports under unchanged epochs — any live
+    report, vanished entry, restamp or epoch bump aborts
+    conservatively.  Commits are
     fire-and-forget and defensively rechecked by each owner, so late or
     duplicated commits are harmless.  Returns the number of objects
     committed for reclamation.  Must run inside a fiber (it blocks on
@@ -347,6 +364,12 @@ val dirty_set : space -> handle -> int list
 
 (** Surrogate count in this space's table. *)
 val surrogate_count : space -> int
+
+(** [(touch, seqno)]: how many wireReps hold a cycle-detector touch
+    stamp and how many a dirty/clean sequence number here.  Both live
+    only as long as the wireRep's table entry, so neither grows with
+    the number of objects the space has ever seen. *)
+val bookkeeping : space -> int * int
 
 (** One human-readable line per surrogate in this space's table —
     wireRep, state ([Creating]/[Usable]/[Cleaning]), root and pin counts.
@@ -420,7 +443,8 @@ val epoch : space -> int
     keeping the continuity floor ({!cont}) so peers reconcile instead of
     forgetting, then run the reassert handshake: clients re-assert dirty
     for surviving surrogates with fresh idempotent sequence numbers
-    while the owner conservatively retains recovered entries — and the
+    (the counter resumes past every logged one, plus slack for the
+    unsynced tail) while the owner conservatively retains recovered entries — and the
     collector stands down — until the [recover_grace] window closes.
     Raises [Invalid_argument] if the space is not crashed or the runtime
     is not durable. *)
@@ -522,7 +546,11 @@ val call_stats : space -> call_stats
       matched by a surrogate entry at that client;
     - no transient pins survive quiescence (every message was acked);
     - registration/cleanup states ([Creating]/[Cleaning]) do not exist at
-      quiescence.
+      quiescence;
+    - no cycle-detector touch stamp and no dirty/clean sequence number
+      is kept for a wireRep that has no table entry (the per-wireRep
+      bookkeeping leaves with the entry, so it never grows with the
+      number of objects a space has seen).
 
     Call it only after {!run} returned with no runnable work; results are
     meaningless mid-protocol. *)

@@ -117,7 +117,7 @@ type snapshot = {
   s_surrogates : Wirerep.t list; (* usable surrogates *)
   s_roots : (Wirerep.t * int) list;
   s_pins : (int * Wirerep.t list) list; (* outstanding transient pins *)
-  s_seqno : (Wirerep.t * int) list;
+  s_next_seq : int;  (* the space's dirty/clean seqno counter *)
   s_bindings : (string * Wirerep.t) list;
 }
 
@@ -135,7 +135,7 @@ let snapshot_codec =
       ( (s_epoch, s_cont, s_next_index),
         (s_next_msg, s_next_call, s_peers),
         (s_concretes, s_surrogates),
-        ((s_roots, s_pins), (s_seqno, s_bindings)) )
+        ((s_roots, s_pins), (s_next_seq, s_bindings)) )
     ->
       {
         s_epoch;
@@ -148,7 +148,7 @@ let snapshot_codec =
         s_surrogates;
         s_roots;
         s_pins;
-        s_seqno;
+        s_next_seq;
         s_bindings;
       })
     (fun
@@ -163,14 +163,14 @@ let snapshot_codec =
         s_surrogates;
         s_roots;
         s_pins;
-        s_seqno;
+        s_next_seq;
         s_bindings;
       }
     ->
       ( (s_epoch, s_cont, s_next_index),
         (s_next_msg, s_next_call, s_peers),
         (s_concretes, s_surrogates),
-        ((s_roots, s_pins), (s_seqno, s_bindings)) ))
+        ((s_roots, s_pins), (s_next_seq, s_bindings)) ))
     (P.quad
        (P.triple P.int P.int P.int)
        (P.triple P.int P.int (P.list (P.pair P.int P.int)))
@@ -179,9 +179,7 @@ let snapshot_codec =
           (P.pair
              (P.list (P.pair Wirerep.codec P.int))
              (P.list (P.pair P.int (P.list Wirerep.codec))))
-          (P.pair
-             (P.list (P.pair Wirerep.codec P.int))
-             (P.list (P.pair P.string Wirerep.codec)))))
+          (P.pair P.int (P.list (P.pair P.string Wirerep.codec)))))
 
 let pp_record ppf = function
   | Epoch { epoch; cont } -> Fmt.pf ppf "epoch %d cont=%d" epoch cont

@@ -29,7 +29,8 @@ type record =
   | Surrogate of { wr : Wirerep.t; add : bool }
       (** a usable surrogate appeared/disappeared at this space *)
   | Seqno of { wr : Wirerep.t; n : int }
-      (** client-side idempotence watermark for dirty/clean calls *)
+      (** a dirty/clean sequence number drawn from the space-wide
+          counter; recovery only needs the largest *)
   | Pins of { msg : int; wrs : Wirerep.t list }
       (** transient dirty pins for an outgoing message *)
   | Unpins of int  (** the message was acknowledged; pins released *)
@@ -59,7 +60,9 @@ type snapshot = {
   s_surrogates : Wirerep.t list;  (** usable surrogates *)
   s_roots : (Wirerep.t * int) list;
   s_pins : (int * Wirerep.t list) list;
-  s_seqno : (Wirerep.t * int) list;
+  s_next_seq : int;
+      (** the space-wide dirty/clean sequence-number counter; recovery
+          raises it past every replayed {!Seqno} record *)
   s_bindings : (string * Wirerep.t) list;
 }
 

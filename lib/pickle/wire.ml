@@ -17,6 +17,8 @@ module Writer = struct
 
   let to_bytes = Buffer.to_bytes
 
+  let blit w dst dst_off = Buffer.blit w 0 dst dst_off (Buffer.length w)
+
   (* Per-domain pool of writers.  Checkout reuses a previously returned
      buffer (its capacity already grown by earlier encodes), so steady-state
      encoding stops allocating fresh backing stores.  The pool is bounded and

@@ -27,6 +27,11 @@ module Writer : sig
       returned bytes are a fresh copy owned by the caller. *)
   val to_bytes : t -> bytes
 
+  (** [blit w dst off] copies the bytes written so far into [dst] at
+      [off], without the intermediate copy of {!to_bytes}.
+      @raise Invalid_argument if they do not fit. *)
+  val blit : t -> bytes -> int -> unit
+
   (** {2 Pooling}
 
       [checkout]/[return] recycle writers through a bounded {e

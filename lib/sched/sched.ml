@@ -369,6 +369,14 @@ let run ?(max_steps = max_int) ?(until = infinity) t =
   done;
   !steps
 
+let advance t time =
+  let time =
+    match Timerq.peek t.timers with
+    | Some e -> Float.min time e.deadline
+    | None -> time
+  in
+  if time > t.clock then t.clock <- time
+
 let alive t = t.alive
 
 let pending_fingerprint t =

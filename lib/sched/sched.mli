@@ -80,6 +80,13 @@ val suspend : ((unit -> unit) -> unit) -> unit
     Returns the number of steps taken. *)
 val run : ?max_steps:int -> ?until:float -> t -> int
 
+(** [advance t time] moves the clock forward to [time], or to the
+    earliest pending timer if that comes sooner; it never moves the
+    clock back.  A driver that ties virtual time to wall time calls it
+    after [run ~until:time], so that timers armed next count from the
+    present rather than from the last deadline that fired. *)
+val advance : t -> float -> unit
+
 (** Fibers spawned and not yet finished (running, ready or blocked). *)
 val alive : t -> int
 

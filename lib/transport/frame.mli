@@ -54,6 +54,10 @@ val decoder : unit -> decoder
     complete header is inspected, by {!next}. *)
 val feed : decoder -> ?off:int -> ?len:int -> string -> unit
 
+(** [feed_bytes d b off len] is {!feed} over a byte buffer, e.g. a
+    socket read buffer, without first copying the slice to a string. *)
+val feed_bytes : decoder -> bytes -> int -> int -> unit
+
 (** Pop the next complete frame, or [None] if the buffered bytes end in
     (at most) a torn tail.
     @raise Corrupt on a bad version byte or oversized length. *)
@@ -67,3 +71,60 @@ val pending : decoder -> int
     connection restarts the stream from a frame boundary, so bytes from
     the dead stream must not prefix it. *)
 val reset : decoder -> unit
+
+(** An output buffer: frames are encoded straight into it, header
+    included, and written out of it, so a frame is copied once on its
+    way to the socket.
+
+    It keeps what a stream transport needs when its connection can die
+    mid-write: bytes written so far are never resent, except that
+    {!rewind} moves back to the start of the first frame not written
+    whole — the receiver drops a torn frame with its connection — so
+    the next connection carries every later frame exactly once and
+    starts on a frame boundary. *)
+module Out : sig
+  type t
+
+  val create : unit -> t
+
+  (** Begin a frame: reserve its length prefix and version byte.  A
+      frame begun earlier and never finished is discarded. *)
+  val start : t -> unit
+
+  (** Body bytes of the current frame, encoded as the
+      {!Netobj_pickle.Wire.Writer} functions of the same names do. *)
+  val uvarint : t -> int -> unit
+
+  val string : t -> string -> unit
+
+  (** The bytes written so far to a writer, raw (see
+      {!Netobj_pickle.Wire.Writer.blit}). *)
+  val writer : t -> Netobj_pickle.Wire.Writer.t -> unit
+
+  (** [finish o ~count] closes the current frame, which carries [count]
+      messages, and returns its body length.
+      @raise Corrupt (discarding the frame) if it exceeds
+      {!val-max_frame}. *)
+  val finish : t -> count:int -> int
+
+  (** Discard the frame just finished, before any of it is written. *)
+  val drop_last : t -> unit
+
+  (** Bytes of finished frames not yet written. *)
+  val pending : t -> int
+
+  (** Messages carried by frames not yet written whole. *)
+  val messages : t -> int
+
+  (** [write o f] hands the pending bytes to [f buf off len], once, and
+      advances past the [n] bytes it returns having written.
+      Exceptions from [f] propagate with nothing advanced. *)
+  val write : t -> (bytes -> int -> int -> int) -> unit
+
+  (** The connection was lost: resend from the start of the first frame
+      not written whole. *)
+  val rewind : t -> unit
+
+  (** Discard everything. *)
+  val clear : t -> unit
+end

@@ -26,24 +26,21 @@ let max_backoff = 1.0
 
 type inbound = { in_fd : Unix.file_descr; in_dec : Frame.decoder }
 
-(* One outgoing connection per remote address.  [p_wbuf]/[p_woff] hold
-   the frame currently on the wire; on connection loss the write offset
-   rewinds to 0 so the frame is retransmitted whole on the next
-   connection — the receiver binds its decoder to the connection
-   ([in_dec]), so the torn tail died with the socket and retransmission
-   cannot duplicate.  [p_dec] reads the peer's replies on this dialled
-   connection and outlives it, so it must be reset whenever the
-   connection drops: a reply frame torn by the old socket must not
-   prefix the fresh connection's stream. *)
+(* One outgoing connection per remote address.  [p_out] holds the frames
+   not yet written whole; on connection loss it rewinds to the first of
+   them, so a torn frame is retransmitted whole on the next connection —
+   the receiver binds its decoder to the connection ([in_dec]), so the
+   torn tail died with the socket and retransmission cannot duplicate.
+   [p_dec] reads the peer's replies on this dialled connection and
+   outlives it, so it must be reset whenever the connection drops: a
+   reply frame torn by the old socket must not prefix the fresh
+   connection's stream. *)
 type peer = {
   p_addr : int;
   mutable p_fd : Unix.file_descr option;
   mutable p_connecting : bool;
   p_dec : Frame.decoder;
-  p_queue : (string * int) Queue.t;
-  mutable p_queued_bytes : int;
-  mutable p_wbuf : string;
-  mutable p_woff : int;
+  p_out : Frame.Out.t;
   mutable p_backoff : float;
   mutable p_next_attempt : float;
   mutable p_failed_once : bool;
@@ -61,6 +58,7 @@ type t = {
   mutable gate : Transport.gate;
   outboxes : (int * int, outbox) Hashtbl.t;
   mutable flush_armed : bool;
+  fiber_names : (int * int * string, string) Hashtbl.t;
   by_kind : (string, (int * int) ref) Hashtbl.t;
   mutable sent : int;
   mutable delivered : int;
@@ -97,6 +95,7 @@ let create ~sched ~serving ~endpoints () =
       gate = Transport.admit_all;
       outboxes = Hashtbl.create 16;
       flush_armed = false;
+      fiber_names = Hashtbl.create 16;
       by_kind = Hashtbl.create 16;
       sent = 0;
       delivered = 0;
@@ -161,10 +160,7 @@ let peer_for t addr =
           p_fd = None;
           p_connecting = false;
           p_dec = Frame.decoder ();
-          p_queue = Queue.create ();
-          p_queued_bytes = 0;
-          p_wbuf = "";
-          p_woff = 0;
+          p_out = Frame.Out.create ();
           p_backoff = initial_backoff;
           p_next_attempt = 0.0;
           p_failed_once = false;
@@ -173,9 +169,10 @@ let peer_for t addr =
       Hashtbl.add t.peers addr p;
       p
 
-(* A failed connect or broken connection: drop the socket, rewind the
-   in-flight frame, and back off before the next attempt (doubling up to
-   the cap).  Every post-failure attempt counts as a reconnect.  A
+(* A failed connect or broken connection: drop the socket, rewind to the
+   first frame not written whole, and back off before the next attempt
+   (doubling up to the cap).  Every post-failure attempt counts as a
+   reconnect.  A
    learned connection (see [learn]) is also registered in [inbound], so
    it must leave that list when it dies or select would see a closed
    fd. *)
@@ -187,7 +184,7 @@ let conn_lost t p =
   | None -> ());
   p.p_fd <- None;
   p.p_connecting <- false;
-  p.p_woff <- 0;
+  Frame.Out.rewind p.p_out;
   Frame.reset p.p_dec;
   p.p_failed_once <- true;
   p.p_next_attempt <- Unix.gettimeofday () +. p.p_backoff;
@@ -210,7 +207,7 @@ let learn t ~src fd =
     | Some old when old != fd ->
         close_quietly old;
         t.inbound <- List.filter (fun c -> c.in_fd != old) t.inbound;
-        p.p_woff <- 0;
+        Frame.Out.rewind p.p_out;
         Frame.reset p.p_dec
     | Some _ -> ()
     | None -> ());
@@ -271,37 +268,48 @@ let drop t count =
   t.dropped <- t.dropped + count;
   if Obs.on () then Metrics.add m_dropped count
 
-let enqueue t ~dst ~count frame =
-  let p = peer_for t dst in
-  if p.p_queued_bytes + String.length frame > max_queued_bytes then
+(* {2 Writing} — frames are encoded into their peer's [p_out] as they
+   are sent or flushed.  A 0-delay timer, armed by the first [send] or
+   [post] of an instant, fires once that instant's fibers are done: it
+   packs the outboxes into frames and writes each connected peer's
+   pending bytes in one [write].  [pump] writes only what is left: a
+   fresh connection's backlog, or the tail of a partial write. *)
+
+let body_header o ~src ~dst ~count =
+  Frame.Out.uvarint o src;
+  Frame.Out.uvarint o dst;
+  Frame.Out.uvarint o count
+
+(* Close the frame just encoded into [o]; past the per-peer bound it is
+   dropped instead. *)
+let finish_frame t o ~count =
+  account_physical t (Frame.Out.finish o ~count);
+  if Frame.Out.pending o > max_queued_bytes then begin
+    Frame.Out.drop_last o;
     drop t count
-  else begin
-    Queue.add (frame, count) p.p_queue;
-    p.p_queued_bytes <- p.p_queued_bytes + String.length frame
   end
 
-let body_header w ~src ~dst ~count =
-  Wire.Writer.uvarint w src;
-  Wire.Writer.uvarint w dst;
-  Wire.Writer.uvarint w count
+let peer_has_output p = Frame.Out.pending p.p_out > 0
 
-let send t ~src ~dst ~kind payload =
-  account_logical t kind (String.length payload);
-  let body =
-    Wire.Writer.with_pooled (fun w ->
-        body_header w ~src ~dst ~count:1;
-        Wire.Writer.string w kind;
-        Wire.Writer.string w payload;
-        Bytes.unsafe_to_string (Wire.Writer.to_bytes w))
-  in
-  account_physical t (String.length body);
-  enqueue t ~dst ~count:1 (Frame.encode body)
+let rec write_pending t p fd =
+  match Frame.Out.write p.p_out (Unix.write fd) with
+  | () -> ()
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_pending t p fd
+  | exception Unix.Unix_error (_, _, _) -> conn_lost t p
 
-(* {2 Coalescing} — same discipline as the simulated network: [post]
-   accumulates submessages per (src, dst) outbox; [flush] packs each
-   outbox into one frame, fired explicitly or by a 0-delay timer at the
-   end of the posting instant. *)
+let write_connected t =
+  Hashtbl.iter
+    (fun _ p ->
+      match p.p_fd with
+      | Some fd when (not p.p_connecting) && peer_has_output p ->
+          write_pending t p fd
+      | Some _ | None -> ())
+    t.peers
 
+(* Same discipline as the simulated network: [post] accumulates
+   submessages per (src, dst) outbox and [flush] packs each outbox into
+   one frame. *)
 let flush t =
   t.flush_armed <- false;
   if Hashtbl.length t.outboxes > 0 then begin
@@ -314,20 +322,33 @@ let flush t =
     List.iter
       (fun ((src, dst), ob) ->
         let count = ob.ob_n in
-        let body =
-          Wire.Writer.with_pooled (fun w ->
-              body_header w ~src ~dst ~count;
-              Wire.Writer.raw w
-                (Bytes.unsafe_to_string (Wire.Writer.to_bytes ob.ob_w));
-              Bytes.unsafe_to_string (Wire.Writer.to_bytes w))
-        in
+        let o = (peer_for t dst).p_out in
+        Frame.Out.start o;
+        body_header o ~src ~dst ~count;
+        Frame.Out.writer o ob.ob_w;
         Wire.Writer.return ob.ob_w;
-        account_physical t (String.length body);
         t.frames <- t.frames + 1;
         t.coalesced <- t.coalesced + count;
-        enqueue t ~dst ~count (Frame.encode body))
+        finish_frame t o ~count)
       pending
+  end;
+  write_connected t
+
+let arm_flush t =
+  if not t.flush_armed then begin
+    t.flush_armed <- true;
+    Sched.timer t.sched ~name:"tcp-flush" 0.0 (fun () -> flush t)
   end
+
+let send t ~src ~dst ~kind payload =
+  account_logical t kind (String.length payload);
+  let o = (peer_for t dst).p_out in
+  Frame.Out.start o;
+  body_header o ~src ~dst ~count:1;
+  Frame.Out.string o kind;
+  Frame.Out.string o payload;
+  finish_frame t o ~count:1;
+  arm_flush t
 
 let post t ~src ~dst ~kind payload =
   account_logical t kind (String.length payload);
@@ -342,14 +363,25 @@ let post t ~src ~dst ~kind payload =
   Wire.Writer.string ob.ob_w kind;
   Wire.Writer.string ob.ob_w payload;
   ob.ob_n <- ob.ob_n + 1;
-  if not t.flush_armed then begin
-    t.flush_armed <- true;
-    Sched.timer t.sched ~name:"tcp-flush" 0.0 (fun () -> flush t)
-  end
+  arm_flush t
 
 (* {2 Receiving} *)
 
 let read_chunk = Bytes.create 65536
+
+(* Delivery fiber names, formatted once per (src, dst, kind).  Kinds
+   come off the wire, so the cache stops growing at a bound. *)
+let max_fiber_names = 1024
+
+let fiber_name t ~src ~dst kind =
+  let key = (src, dst, kind) in
+  match Hashtbl.find_opt t.fiber_names key with
+  | Some name -> name
+  | None ->
+      let name = Printf.sprintf "tcp-delivery-%d>%d:%s" src dst kind in
+      if Hashtbl.length t.fiber_names < max_fiber_names then
+        Hashtbl.add t.fiber_names key name;
+      name
 
 let dispatch_body t ?learn_fd body =
   let r = Wire.Reader.of_string body in
@@ -367,9 +399,7 @@ let dispatch_body t ?learn_fd body =
     | None -> drop t 1
     | Some h ->
         incr n;
-        Sched.spawn t.sched
-          ~name:(Printf.sprintf "tcp-delivery-%d>%d:%s" src dst kind)
-          (fun () ->
+        Sched.spawn t.sched ~name:(fiber_name t ~src ~dst kind) (fun () ->
             if t.gate ~src ~dst ~kind ~len then begin
               t.delivered <- t.delivered + 1;
               if Obs.on () then Metrics.incr m_delivered;
@@ -390,8 +420,8 @@ let drain_decoder t ?learn_fd dec =
   loop ();
   !n
 
-(* Read everything currently available on [fd] into [dec].  Returns
-   [(dispatched, alive)]. *)
+(* Read everything currently available on [fd] into [dec]; a short read
+   means the socket is drained.  Returns [(dispatched, alive)]. *)
 let read_into t ?learn_fd fd dec =
   let dispatched = ref 0 in
   let alive = ref true in
@@ -403,10 +433,12 @@ let read_into t ?learn_fd fd dec =
         continue := false
     | n -> (
         match
-          Frame.feed dec (Bytes.sub_string read_chunk 0 n);
+          Frame.feed_bytes dec read_chunk 0 n;
           drain_decoder t ?learn_fd dec
         with
-        | k -> dispatched := !dispatched + k
+        | k ->
+            dispatched := !dispatched + k;
+            if n < Bytes.length read_chunk then continue := false
         | exception Frame.Corrupt _ ->
             (* A stream we cannot parse is a dead stream. *)
             alive := false;
@@ -419,33 +451,6 @@ let read_into t ?learn_fd fd dec =
         continue := false
   done;
   (!dispatched, !alive)
-
-(* {2 Writing} *)
-
-let rec write_pending t p fd =
-  if p.p_wbuf = "" then
-    match Queue.take_opt p.p_queue with
-    | None -> ()
-    | Some (frame, _count) ->
-        p.p_queued_bytes <- p.p_queued_bytes - String.length frame;
-        p.p_wbuf <- frame;
-        p.p_woff <- 0;
-        write_pending t p fd
-  else
-    let remaining = String.length p.p_wbuf - p.p_woff in
-    match Unix.write_substring fd p.p_wbuf p.p_woff remaining with
-    | n ->
-        p.p_woff <- p.p_woff + n;
-        if p.p_woff = String.length p.p_wbuf then begin
-          p.p_wbuf <- "";
-          p.p_woff <- 0;
-          write_pending t p fd
-        end
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_pending t p fd
-    | exception Unix.Unix_error (_, _, _) -> conn_lost t p
-
-let peer_has_output p = p.p_wbuf <> "" || not (Queue.is_empty p.p_queue)
 
 let accept_all t lfd =
   let continue = ref true in
@@ -553,7 +558,7 @@ let pump t ~timeout =
                 | Some fd' when fd' == fd ->
                     p.p_fd <- None;
                     p.p_connecting <- false;
-                    p.p_woff <- 0;
+                    Frame.Out.rewind p.p_out;
                     Frame.reset p.p_dec
                 | _ -> ())
               t.peers;
@@ -606,7 +611,8 @@ let close t =
     t.inbound <- [];
     Hashtbl.iter
       (fun _ p ->
-        Queue.iter (fun (_, count) -> drop t count) p.p_queue;
+        drop t (Frame.Out.messages p.p_out);
+        Frame.Out.clear p.p_out;
         match p.p_fd with Some fd -> close_quietly fd | None -> ())
       t.peers;
     Hashtbl.reset t.peers

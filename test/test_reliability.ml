@@ -362,24 +362,75 @@ let test_lookup_release_tcp () =
         (Unix.error_message e)
   | rt ->
       let tr = R.transport rt in
-      let sched = R.sched rt in
-      (* interleave short virtual-time slices with socket pumping; the
-         virtual clock only moves to timer deadlines, so nudge it when
-         both clocks stall (same drive as the conformance suite) *)
+      (* virtual time follows wall time on sockets: a slice is a quarter
+         second of both *)
       let slice () =
-        let stop = Sched.now sched +. 1.0 in
-        let t0 = Unix.gettimeofday () in
-        while Sched.now sched < stop && Unix.gettimeofday () -. t0 < 10.0 do
-          let before = Sched.now sched in
-          ignore (R.run ~until:(before +. 0.05) rt);
-          let n = Transport.pump tr ~timeout:0.002 in
-          if n = 0 && Sched.now sched = before then
-            Sched.timer sched ~name:"drive-tick" 0.05 (fun () -> ())
-        done
+        ignore (R.drive rt ~wall:0.25 ~stop:(fun () -> false))
       in
       Fun.protect
         ~finally:(fun () -> Transport.close tr)
         (fun () -> lookup_timeout_script rt slice)
+
+(* On real sockets virtual time follows wall time: a call its owner
+   never answers times out after about [call_timeout] of wall time, even
+   while four other fibers keep the connection busy with echo calls. *)
+let test_tcp_timeout_wall_time () =
+  let timeout = 0.5 in
+  let cfg =
+    R.config ~seed:5L ~nspaces:2 ~call_timeout:timeout
+      ~transport:(fun sched _net ->
+        Tcp.transport
+          (Tcp.create ~sched ~serving:[ 0 ]
+             ~endpoints:[ (0, { Tcp.host = "127.0.0.1"; port = 0 }) ]
+             ()))
+      ()
+  in
+  match R.create cfg with
+  | exception Unix.Unix_error (e, _, _) ->
+      Printf.printf "skipping: loopback unavailable (%s)\n%!"
+        (Unix.error_message e)
+  | rt ->
+      let owner = R.space rt 0 and client = R.space rt 1 in
+      let v = ref 0 in
+      let never = Sched.Ivar.create () in
+      R.publish owner "obj"
+        (R.allocate owner
+           ~meths:
+             [
+               Stub.implement m_incr (fun _ n ->
+                   v := !v + n;
+                   !v);
+               Stub.implement m_slow (fun _ n -> Sched.Ivar.read never + n);
+             ]);
+      let elapsed = ref None and stop = ref false and echoed = ref 0 in
+      R.spawn rt (fun () ->
+          let h = R.lookup client ~at:0 "obj" in
+          for _ = 1 to 4 do
+            R.spawn rt (fun () ->
+                while not !stop do
+                  ignore (Stub.call client h m_incr 1 : int);
+                  incr echoed
+                done)
+          done;
+          let t0 = Unix.gettimeofday () in
+          (match Stub.call client h m_slow 1 with
+          | _ -> ()
+          | exception R.Timeout _ ->
+              elapsed := Some (Unix.gettimeofday () -. t0));
+          stop := true);
+      Fun.protect
+        ~finally:(fun () -> Transport.close (R.transport rt))
+        (fun () ->
+          ignore
+            (R.drive rt ~wall:(10.0 *. timeout) ~stop:(fun () -> !stop)
+              : bool);
+          Alcotest.(check bool) "echo calls ran" true (!echoed > 0);
+          match !elapsed with
+          | None -> Alcotest.fail "the hung call did not time out"
+          | Some dt ->
+              if dt < 0.5 *. timeout || dt > 3.0 *. timeout then
+                Alcotest.failf "timed out after %.3f s of wall time (timeout %.1f s)"
+                  dt timeout)
 
 let () =
   Alcotest.run "reliability"
@@ -399,5 +450,10 @@ let () =
         [
           Alcotest.test_case "sim" `Quick test_lookup_release_sim;
           Alcotest.test_case "tcp" `Quick test_lookup_release_tcp;
+        ] );
+      ( "wall-time",
+        [
+          Alcotest.test_case "tcp timeout under load" `Quick
+            test_tcp_timeout_wall_time;
         ] );
     ]

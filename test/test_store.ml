@@ -55,7 +55,7 @@ let snapshot_gen =
   map
     (fun ((s_epoch, s_cont, s_next_index, s_next_msg),
           (s_next_call, s_peers, s_concretes, s_surrogates),
-          (s_roots, s_pins, s_seqno, s_bindings)) ->
+          (s_roots, s_pins, s_next_seq, s_bindings)) ->
       {
         Wal.s_epoch;
         s_cont;
@@ -67,7 +67,7 @@ let snapshot_gen =
         s_surrogates;
         s_roots;
         s_pins;
-        s_seqno;
+        s_next_seq;
         s_bindings;
       })
     (tup3
@@ -78,7 +78,7 @@ let snapshot_gen =
        (tup4
           (small_list (tup2 wr_gen nat))
           (small_list (tup2 nat (small_list wr_gen)))
-          (small_list (tup2 wr_gen nat))
+          nat
           (small_list (tup2 string_small wr_gen))))
 
 (* --- codec roundtrips ------------------------------------------------------ *)

@@ -139,7 +139,84 @@ let prop_torn_tail =
       let got = drain_all d in
       got = bodies && Frame.pending d = keep)
 
-let frame_props = [ prop_roundtrip; prop_chunked; prop_torn_tail ]
+(* --- output buffer ---------------------------------------------------- *)
+
+let out_frame o body =
+  Frame.Out.start o;
+  Frame.Out.string o body;
+  ignore (Frame.Out.finish o ~count:1 : int)
+
+let string_body s =
+  Wire.Writer.with_pooled (fun w ->
+      Wire.Writer.string w s;
+      Bytes.unsafe_to_string (Wire.Writer.to_bytes w))
+
+(* Frames encoded in place are the bytes [Frame.encode] gives. *)
+let prop_out_encode =
+  QCheck.Test.make ~name:"in-place frames match encode" ~count:200
+    QCheck.(small_list string)
+    (fun bodies ->
+      let o = Frame.Out.create () in
+      List.iter (out_frame o) bodies;
+      let got = Buffer.create 64 in
+      Frame.Out.write o (fun b off len ->
+          Buffer.add_subbytes got b off len;
+          len);
+      Buffer.contents got
+      = String.concat "" (List.map (fun b -> Frame.encode (string_body b)) bodies)
+      && Frame.Out.pending o = 0)
+
+(* Frames arrive in batches and leave through partial writes; at the
+   loss point the connection dies.  What the first connection carried
+   decodes to a clean prefix of the frames (its torn tail dies with it),
+   and the bytes resent on the next one start on a frame boundary and
+   carry every later frame exactly once. *)
+let prop_out_loss =
+  QCheck.Test.make ~name:"resend after loss: frame boundary, exactly once"
+    ~count:300
+    QCheck.(
+      triple
+        (small_list (pair (small_list string) small_nat))
+        (small_list string) small_nat)
+    (fun (steps, late, loss) ->
+      let o = Frame.Out.create () in
+      let sent = ref [] in
+      let add b =
+        sent := b :: !sent;
+        out_frame o b
+      in
+      let conn1 = Buffer.create 256 and conn2 = Buffer.create 256 in
+      let write conn k =
+        Frame.Out.write o (fun b off len ->
+            let n = min len k in
+            Buffer.add_subbytes conn b off n;
+            n)
+      in
+      List.iteri
+        (fun i (bodies, k) ->
+          List.iter add bodies;
+          if i < loss then write conn1 k)
+        steps;
+      Frame.Out.rewind o;
+      List.iter add late;
+      while Frame.Out.pending o > 0 do
+        write conn2 max_int
+      done;
+      let decode conn =
+        let d = Frame.decoder () in
+        Frame.feed d (Buffer.contents conn);
+        let bodies =
+          List.map
+            (fun f -> Wire.Reader.string (Wire.Reader.of_string f))
+            (drain_all d)
+        in
+        (bodies, Frame.pending d)
+      in
+      let first, _torn = decode conn1 and resent, rest = decode conn2 in
+      first @ resent = List.rev !sent && rest = 0)
+
+let frame_props =
+  [ prop_roundtrip; prop_chunked; prop_torn_tail; prop_out_encode; prop_out_loss ]
 
 (* --- tcp over loopback ---------------------------------------------------- *)
 
@@ -386,6 +463,64 @@ let test_tcp_blocking_pump_backoff () =
           done;
           Alcotest.(check bool) "pump returned" true true)
 
+(* Sends made during one instant are written when the instant ends:
+   the peer receives them although the sender never pumps again. *)
+let test_tcp_write_at_instant_end () =
+  let sched_b = Sched.create () in
+  match Tcp.create ~sched:sched_b ~serving:[ 1 ] ~endpoints:[ (1, ep 0) ] () with
+  | exception Unix.Unix_error (e, _, _) ->
+      Printf.printf "skipping: loopback unavailable (%s)\n%!"
+        (Unix.error_message e)
+  | tcp_b ->
+      let tr_b = Tcp.transport tcp_b in
+      Fun.protect ~finally:(fun () -> Transport.close tr_b) @@ fun () ->
+      let got = ref [] in
+      Transport.set_handler tr_b 1 (fun ~src:_ ~kind:_ ~payload ~off ~len ->
+          got := String.sub payload off len :: !got);
+      let port = Tcp.bound_port tcp_b 1 in
+      with_tcp ~serving:[] ~endpoints:[ (1, ep port) ] (fun sched_a tr_a ->
+          (* Connect first: the sender's pump dials out. *)
+          Transport.send tr_a ~src:0 ~dst:1 ~kind:"m" "hello";
+          let t0 = Unix.gettimeofday () in
+          while !got = [] && Unix.gettimeofday () -. t0 < 10.0 do
+            ignore (Transport.pump tr_a ~timeout:0.01);
+            ignore (Transport.pump tr_b ~timeout:0.01);
+            ignore (Sched.run sched_a);
+            ignore (Sched.run sched_b)
+          done;
+          Alcotest.(check (list string)) "connected" [ "hello" ] !got;
+          Sched.spawn sched_a (fun () ->
+              List.iter
+                (fun s -> Transport.send tr_a ~src:0 ~dst:1 ~kind:"m" s)
+                [ "one"; "two"; "three" ]);
+          ignore (Sched.run sched_a);
+          let t0 = Unix.gettimeofday () in
+          while List.length !got < 4 && Unix.gettimeofday () -. t0 < 10.0 do
+            ignore (Transport.pump tr_b ~timeout:0.01);
+            ignore (Sched.run sched_b)
+          done;
+          Alcotest.(check (list string))
+            "delivered without a sender pump"
+            [ "hello"; "one"; "two"; "three" ]
+            (List.rev !got))
+
+(* A payload several times the receive buffer arrives whole, across
+   several full reads. *)
+let test_tcp_large_payload () =
+  with_tcp ~serving:[ 0; 1 ] ~endpoints:[ (0, ep 0); (1, ep 0) ]
+    (fun sched tr ->
+      let payload = String.init (200 * 1024) (fun i -> Char.chr (i * 7 land 0xff)) in
+      let got = ref [] in
+      Transport.set_handler tr 1 (fun ~src:_ ~kind:_ ~payload ~off ~len ->
+          got := String.sub payload off len :: !got);
+      Transport.send tr ~src:0 ~dst:1 ~kind:"big" payload;
+      Transport.send tr ~src:0 ~dst:1 ~kind:"small" "after";
+      drive sched tr ~until:(fun () -> List.length !got = 2);
+      Alcotest.(check int) "length" (String.length payload)
+        (String.length (List.nth !got 1));
+      Alcotest.(check bool) "intact" true (List.nth !got 1 = payload);
+      Alcotest.(check string) "next frame" "after" (List.hd !got))
+
 (* --- faulty decorator ----------------------------------------------------- *)
 
 let faulty_pair ?(seed = 42L) () =
@@ -496,6 +631,9 @@ let () =
             test_tcp_close_drops_pending;
           Alcotest.test_case "blocking pump honours backoff" `Quick
             test_tcp_blocking_pump_backoff;
+          Alcotest.test_case "writes at the end of the instant" `Quick
+            test_tcp_write_at_instant_end;
+          Alcotest.test_case "large payload" `Quick test_tcp_large_payload;
         ] );
       ( "faulty",
         [

@@ -218,9 +218,9 @@ let run_sim s =
   let rt = R.create (base_config s) in
   run_script rt (fun rt _finished -> ignore (R.run rt)) s
 
-(* The TCP driver interleaves short virtual-time slices (fibers, the
-   flush timer, call timeouts) with real socket pumping; wall-clock
-   bounds the whole scenario. *)
+(* The TCP side runs under [R.drive]: scheduler slices (fibers, the
+   flush timer, call timeouts) alternate with real socket pumping, and
+   virtual time follows wall time, which also bounds the scenario. *)
 let run_tcp s =
   let tcp_ref = ref None in
   let endpoints =
@@ -241,18 +241,7 @@ let run_tcp s =
   let rt = R.create cfg in
   let tr = R.transport rt in
   let drive rt finished =
-    let sched = R.sched rt in
-    let t0 = Unix.gettimeofday () in
-    while (not !finished) && Unix.gettimeofday () -. t0 < 30.0 do
-      let before = Sched.now sched in
-      ignore (R.run rt ~until:(before +. 0.05));
-      let n = Transport.pump tr ~timeout:0.002 in
-      (* The virtual clock only moves to timer deadlines; when both
-         clocks are stalled (fibers parked on calls, no socket traffic)
-         nudge it forward so virtual-time timeouts eventually fire. *)
-      if n = 0 && Sched.now sched = before then
-        Sched.timer sched ~name:"drive-tick" 0.05 (fun () -> ())
-    done
+    ignore (R.drive rt ~wall:30.0 ~stop:(fun () -> !finished))
   in
   Fun.protect
     ~finally:(fun () -> Transport.close tr)
