@@ -1,4 +1,4 @@
-.PHONY: all build test loc bench bench-json bench-compare chaos-smoke chaos-sweep mc-smoke recover-smoke transport-smoke perf-smoke par-smoke cycles-smoke scale-smoke reliability-smoke verify examples check clean doc
+.PHONY: all build test loc bench bench-json bench-compare chaos-smoke chaos-sweep mc-smoke recover-smoke transport-smoke perf-smoke fuzz-smoke par-smoke cycles-smoke scale-smoke reliability-smoke verify examples check clean doc
 
 all: build
 
@@ -99,6 +99,13 @@ perf-smoke:
 	  printf '%s\n' "$$out" | tail -n 1 | python3 -c 'import json, sys; d = json.load(sys.stdin); ok = d["correct"] is True and d["failed"] == 0; print("perf-smoke %s: correct=%s attempted=%d failed=%d" % (sys.argv[1], d["correct"], d["attempted"], d["failed"])); sys.exit(0 if ok else 1)' $$w || exit 1; \
 	done
 
+# Decoder fuzz smoke: the hostile-input tier (test/test_decoders.ml:
+# random and mutated bytes into every decoder that takes outside input,
+# each bounded in allocation) with its fixed seed at 20 times the case
+# count dune runtest uses.
+fuzz-smoke:
+	dune exec test/test_decoders.exe -- --scale 20
+
 # Cycle-collection smoke: the deterministic three-space ring narrative
 # (leak under the listing collector, reclaim under trial deletion), a
 # seeded chaos run with the cycle workload and detector demon armed,
@@ -143,8 +150,8 @@ reliability-smoke:
 	dune exec bin/netobj_sim.exe -- chaos --seed 3 --storms 2
 
 # The full local gate: build everything, run the test suite (unit,
-# property, cram), the nine smoke targets and the chaos seed sweep.
-verify: build test chaos-smoke chaos-sweep mc-smoke recover-smoke transport-smoke perf-smoke par-smoke cycles-smoke scale-smoke reliability-smoke
+# property, cram), the ten smoke targets and the chaos seed sweep.
+verify: build test chaos-smoke chaos-sweep mc-smoke recover-smoke transport-smoke perf-smoke fuzz-smoke par-smoke cycles-smoke scale-smoke reliability-smoke
 
 examples:
 	dune exec examples/quickstart.exe

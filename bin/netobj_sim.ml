@@ -1312,12 +1312,14 @@ let transport_demo seed =
         else begin
           Fmt.pr "demo: restarted server 0 with epoch 1@.";
           (* The stale surrogate's call is rejected by the higher-epoch
-             incarnation; the reject teaches this client the new epoch
-             and evicts the dead incarnation's surrogates. *)
+             incarnation; the reject teaches this client the new epoch,
+             which evicts the dead incarnation's surrogates and fails the
+             call at once. *)
           (match call_incr sp h0 with
           | _ -> fail "stale call succeeded"
-          | exception (R.Remote_error _ | R.Timeout _) ->
-              Fmt.pr "client: stale call: failed@.");
+          | exception R.Remote_error _ ->
+              Fmt.pr "client: stale call: rejected@."
+          | exception R.Timeout _ -> fail "stale call timed out");
           Sched.sleep (R.sched rt) 1.0;
           R.release sp h0;
           (match R.lookup sp ~at:0 "counter" with

@@ -363,7 +363,8 @@ and space = {
   (* outgoing messages whose embedded references are transiently pinned
      until the receiver's copy_ack *)
   tdirty : (Proto.msg_id, Wirerep.t list) Hashtbl.t;
-  pending_calls : (int, call_outcome Sched.Ivar.var) Hashtbl.t;
+  (* call id -> the space the call went to, and where its outcome lands *)
+  pending_calls : (int, int * call_outcome Sched.Ivar.var) Hashtbl.t;
   clean_mb : Wirerep.t Sched.Mailbox.mb;
   (* Wirerep.key -> the client-side dirty/clean sequence number in
      flight, kept only while the wireRep has a table entry (retransmits
@@ -869,17 +870,16 @@ let acquire_surrogate sp wr =
 (* --- the handle codec ---------------------------------------------------- *)
 
 let handle_codec =
-  let write w h =
+  let from h =
     (match !(Domain.DLS.get ctx_stack_key) with
     | Enc { esp; e_pinned } :: _ ->
         pin esp h.wr;
         e_pinned := h.wr :: !e_pinned
     | Dec _ :: _ | [] ->
         failwith "handle_codec: no enclosing marshal (encode) context");
-    Pickle.write Wirerep.codec w h.wr
+    h.wr
   in
-  let read r =
-    let wr = Pickle.read Wirerep.codec r in
+  let into wr =
     (match !(Domain.DLS.get ctx_stack_key) with
     | Dec { dsp; d_acquired; d_pending } :: _ ->
         (* Pin immediately so an interleaved local GC cannot sweep the
@@ -893,9 +893,7 @@ let handle_codec =
         failwith "handle_codec: no enclosing marshal (decode) context");
     { wr }
   in
-  Pickle.custom ~name:"handle"
-    ~write:(fun w h -> write w h)
-    ~read:(fun r -> read r)
+  Pickle.map ~name:"handle" into from Wirerep.codec
 
 let release_pins_for sp msg_id =
   match Hashtbl.find_opt sp.tdirty msg_id with
@@ -1487,7 +1485,7 @@ let handle_clean_ack sp ~wr =
 let settle_call sp ~call_id outcome =
   match Hashtbl.find_opt sp.pending_calls call_id with
   | None -> () (* timed out and forgotten, or a stale earlier attempt *)
-  | Some iv ->
+  | Some (_, iv) ->
       Hashtbl.remove sp.pending_calls call_id;
       Sched.Ivar.fill iv outcome
 
@@ -1959,7 +1957,10 @@ let evict_client sp client =
    side, our surrogates for its objects point at a heap that no longer
    exists: pending registrations fail, usable surrogates are dropped
    (calls through retained handles raise [Remote_error], prompting the
-   holder to re-import via the agent). *)
+   holder to re-import via the agent), and calls still waiting on the
+   old incarnation fail now: they were addressed to its epoch, so the
+   new one rejects them and no reply can come.  A durable recovery
+   ([note_peer_recovered]) keeps them, since it may still answer. *)
 
 let forget_peer_state sp peer =
   evict_client sp peer;
@@ -1972,6 +1973,20 @@ let forget_peer_state sp peer =
     sp.table;
   Hashtbl.remove sp.lease peer;
   Hashtbl.remove sp.suspect_since peer;
+  let orphaned =
+    Hashtbl.fold
+      (fun call_id (dst, _) acc -> if dst = peer then call_id :: acc else acc)
+      sp.pending_calls []
+  in
+  List.iter
+    (fun call_id ->
+      settle_call sp ~call_id
+        (O_reply
+           ( { Proto.origin = peer; seq = 0 },
+             false,
+             Error (Printf.sprintf "owner %d restarted without its state" peer)
+           )))
+    (List.sort Int.compare orphaned);
   let stale = ref [] in
   Wirerep.Tbl.iter
     (fun wr entry ->
@@ -2529,7 +2544,7 @@ let invoke_raw sp h ~meth:meth_name ~encode ~decode =
              reuse the call_id, msg_id and encoded args — the owner's
              dedup keys on them. *)
           let iv = Sched.Ivar.create () in
-          Hashtbl.replace sp.pending_calls call_id iv;
+          Hashtbl.replace sp.pending_calls call_id (owner, iv);
           send_attempt ();
           let dt =
             let per_attempt =
@@ -3035,7 +3050,7 @@ let restart rt i =
   let sp = space rt i in
   if not sp.crashed then invalid_arg "Runtime.restart: space is not crashed";
   Hashtbl.iter
-    (fun _ iv ->
+    (fun _ (_, iv) ->
       if not (Sched.Ivar.is_filled iv) then
         Sched.Ivar.fill iv
           (O_reply
@@ -3295,7 +3310,7 @@ let recover rt i =
   let t0 = Sys.time () in
   (* Fibers of the dead incarnation unwind exactly as for [restart]. *)
   Hashtbl.iter
-    (fun _ iv ->
+    (fun _ (_, iv) ->
       if not (Sched.Ivar.is_filled iv) then
         Sched.Ivar.fill iv
           (O_reply

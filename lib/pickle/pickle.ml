@@ -2,6 +2,7 @@ type 'a t = {
   write : Wire.Writer.t -> 'a -> unit;
   read : Wire.Reader.t -> 'a;
   descr : string;
+  min_width : int;  (* a lower bound on the bytes one value encodes to *)
 }
 
 let write c = c.write
@@ -9,6 +10,8 @@ let write c = c.write
 let read c = c.read
 
 let describe c = c.descr
+
+let min_width c = c.min_width
 
 (* FNV-1a on the structure descriptor: two codecs with the same shape get
    the same fingerprint, so interoperating stubs agree without codegen. *)
@@ -64,8 +67,9 @@ let unpickle c s =
   if not (Wire.Reader.at_end r) then Wire.Reader.fail r "trailing bytes";
   x
 
-let unit =
-  { write = (fun _ () -> ()); read = (fun _ -> ()); descr = "unit" }
+let prim descr min_width write read = { write; read; descr; min_width }
+
+let unit = prim "unit" 0 (fun _ () -> ()) (fun _ -> ())
 
 let bool =
   {
@@ -77,6 +81,7 @@ let bool =
         | 1 -> true
         | n -> Wire.Reader.fail r (Printf.sprintf "bad bool byte %d" n));
     descr = "bool";
+    min_width = 1;
   }
 
 let char =
@@ -84,28 +89,25 @@ let char =
     write = (fun w c -> Wire.Writer.byte w (Char.code c));
     read = (fun r -> Char.chr (Wire.Reader.byte r));
     descr = "char";
+    min_width = 1;
   }
 
-let int =
-  { write = Wire.Writer.varint; read = Wire.Reader.varint; descr = "int" }
+let int = prim "int" 1 Wire.Writer.varint Wire.Reader.varint
 
-let int32 =
-  { write = Wire.Writer.int32; read = Wire.Reader.int32; descr = "int32" }
+let int32 = prim "int32" 4 Wire.Writer.int32 Wire.Reader.int32
 
-let int64 =
-  { write = Wire.Writer.int64; read = Wire.Reader.int64; descr = "int64" }
+let int64 = prim "int64" 8 Wire.Writer.int64 Wire.Reader.int64
 
-let float =
-  { write = Wire.Writer.float; read = Wire.Reader.float; descr = "float" }
+let float = prim "float" 8 Wire.Writer.float Wire.Reader.float
 
-let string =
-  { write = Wire.Writer.string; read = Wire.Reader.string; descr = "string" }
+let string = prim "string" 1 Wire.Writer.string Wire.Reader.string
 
 let bytes =
   {
     write = (fun w b -> Wire.Writer.string w (Bytes.to_string b));
     read = (fun r -> Bytes.of_string (Wire.Reader.string r));
     descr = "bytes";
+    min_width = 1;
   }
 
 let option c =
@@ -123,19 +125,51 @@ let option c =
         | 1 -> Some (c.read r)
         | n -> Wire.Reader.fail r (Printf.sprintf "bad option byte %d" n));
     descr = Printf.sprintf "(option %s)" c.descr;
+    min_width = 1;
   }
+
+(* A count read off the wire is checked against the input left before
+   anything is allocated for it: [n] elements take at least
+   [n * min_width] bytes.  Elements that may encode to nothing get the
+   fixed cap instead. *)
+let max_zero_width_count = 1 lsl 16
+
+let read_count c r =
+  let n = Wire.Reader.uvarint r in
+  let bound =
+    if c.min_width = 0 then max_zero_width_count
+    else Wire.Reader.remaining r / c.min_width
+  in
+  if n > bound then
+    Wire.Reader.fail r
+      (Printf.sprintf "count %d exceeds the input left (at most %d)" n bound);
+  n
+
+let rec write_list c w = function
+  | [] -> ()
+  | x :: xs ->
+      c.write w x;
+      write_list c w xs
+
+(* Builds the list front to back in constant stack, with no reversal. *)
+let[@tail_mod_cons] rec read_list c r n =
+  if n = 0 then []
+  else
+    let x = c.read r in
+    x :: read_list c r (n - 1)
 
 let list c =
   {
     write =
       (fun w xs ->
         Wire.Writer.uvarint w (List.length xs);
-        List.iter (c.write w) xs);
+        write_list c w xs);
     read =
       (fun r ->
-        let n = Wire.Reader.uvarint r in
-        List.init n (fun _ -> c.read r));
+        let n = read_count c r in
+        read_list c r n);
     descr = Printf.sprintf "(list %s)" c.descr;
+    min_width = 1;
   }
 
 let array c =
@@ -143,12 +177,22 @@ let array c =
     write =
       (fun w xs ->
         Wire.Writer.uvarint w (Array.length xs);
-        Array.iter (c.write w) xs);
+        for i = 0 to Array.length xs - 1 do
+          c.write w (Array.unsafe_get xs i)
+        done);
     read =
       (fun r ->
-        let n = Wire.Reader.uvarint r in
-        Array.init n (fun _ -> c.read r));
+        let n = read_count c r in
+        if n = 0 then [||]
+        else begin
+          let a = Array.make n (c.read r) in
+          for i = 1 to n - 1 do
+            Array.unsafe_set a i (c.read r)
+          done;
+          a
+        end);
     descr = Printf.sprintf "(array %s)" c.descr;
+    min_width = 1;
   }
 
 let pair a b =
@@ -163,6 +207,7 @@ let pair a b =
         let y = b.read r in
         (x, y));
     descr = Printf.sprintf "(pair %s %s)" a.descr b.descr;
+    min_width = a.min_width + b.min_width;
   }
 
 let triple a b c =
@@ -179,6 +224,7 @@ let triple a b c =
         let z = c.read r in
         (x, y, z));
     descr = Printf.sprintf "(triple %s %s %s)" a.descr b.descr c.descr;
+    min_width = a.min_width + b.min_width + c.min_width;
   }
 
 let quad a b c d =
@@ -198,6 +244,7 @@ let quad a b c d =
         (x, y, z, u));
     descr =
       Printf.sprintf "(quad %s %s %s %s)" a.descr b.descr c.descr d.descr;
+    min_width = a.min_width + b.min_width + c.min_width + d.min_width;
   }
 
 let result ok err =
@@ -217,6 +264,7 @@ let result ok err =
         | 1 -> Error (err.read r)
         | n -> Wire.Reader.fail r (Printf.sprintf "bad result byte %d" n));
     descr = Printf.sprintf "(result %s %s)" ok.descr err.descr;
+    min_width = 1 + Int.min ok.min_width err.min_width;
   }
 
 let map ?name into from c =
@@ -224,6 +272,7 @@ let map ?name into from c =
     write = (fun w v -> c.write w (from v));
     read = (fun r -> into (c.read r));
     descr = (match name with None -> c.descr | Some n -> n);
+    min_width = c.min_width;
   }
 
 type 'a case =
@@ -273,16 +322,30 @@ let sum name cases =
     in
     go cases
   in
-  { write; read; descr }
+  (* A tag of at least one byte, then the narrowest arm. *)
+  let min_width =
+    match cases with
+    | [] -> 1
+    | Case c :: rest ->
+        1
+        + List.fold_left
+            (fun m (Case c) -> Int.min m c.codec.min_width)
+            c.codec.min_width rest
+  in
+  { write; read; descr; min_width }
 
+(* The body is built once, here, with the recursive occurrences counted
+   as zero bytes wide: that gives a lower bound on the body's width,
+   which is all [min_width] promises. *)
 let fix f =
   let rec self =
     {
       write = (fun w v -> (Lazy.force body).write w v);
       read = (fun r -> (Lazy.force body).read r);
       descr = "(fix)";
+      min_width = 0;
     }
   and body = lazy (f self) in
-  self
+  { self with min_width = (Lazy.force body).min_width }
 
-let custom ~name ~write ~read = { write; read; descr = name }
+let custom ~name ~write ~read = prim name 0 write read

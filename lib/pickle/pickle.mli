@@ -5,12 +5,24 @@
     information.  OCaml has no runtime reflection, so stubs are built from
     first-class codec values instead: a [('a) t] knows how to write and
     read an ['a].  Codecs compose with products, sums, containers and
-    fixpoints, and can be made {e contextual} with {!custom} — which is how
-    the runtime injects wireRep marshalling (with its transient-dirty side
-    effects) into argument pickles.
+    fixpoints, and can be made {e contextual} with {!map} or {!custom} —
+    the runtime's handle codec is a {!map} over the wireRep codec whose
+    conversions pin and acquire (the transient-dirty side effects) inside
+    argument pickles.
 
     Top-level pickles carry a magic number and a codec fingerprint so that
-    mismatched stubs fail loudly rather than misparse. *)
+    mismatched stubs fail loudly rather than misparse.
+
+    {b Bounded decoding.}  Every codec knows a lower bound on the bytes
+    one of its values encodes to, its {!min_width}.  {!list} and
+    {!array} compare each count they read with the input left: a count
+    above [remaining / min_width] fails with {!Wire.Error} before
+    anything is allocated for it.  A codec whose values may encode to
+    nothing ([min_width = 0]: {!unit}, a {!custom} codec, products of
+    such) is capped at
+    {!max_zero_width_count} elements instead.  So a decoder allocates
+    in proportion to its input, and hostile input raises only
+    {!Wire.Error}. *)
 
 type 'a t
 
@@ -33,6 +45,17 @@ val pickle : 'a t -> 'a -> string
 
 (** Decode a headered pickle, checking magic, version and fingerprint. *)
 val unpickle : 'a t -> string -> 'a
+
+(** A lower bound on the bytes any value of the codec encodes to: 0 for
+    {!unit}, 1 for {!int}, {!string} and the containers, the sum of the
+    parts for products, 1 plus the narrowest arm for {!sum}.  For
+    {!fix}, the body's width with each recursive occurrence counted as
+    0. *)
+val min_width : 'a t -> int
+
+(** The most elements {!list} or {!array} decodes for an element codec
+    of {!min_width} 0: [65_536]. *)
+val max_zero_width_count : int
 
 (** A short human-readable structure descriptor, e.g. ["(pair int string)"].
     Hashed into the header fingerprint. *)
@@ -63,6 +86,9 @@ val bytes : bytes t
 
 val option : 'a t -> 'a option t
 
+(** A count, then the elements.  Decoding fails with {!Wire.Error} on a
+    count above [remaining / min_width c] (or {!max_zero_width_count} if
+    [min_width c = 0]), before allocating. *)
 val list : 'a t -> 'a list t
 
 val array : 'a t -> 'a array t
@@ -77,7 +103,10 @@ val result : 'a t -> 'e t -> ('a, 'e) Stdlib.result t
 
 (** {1 Structure} *)
 
-(** Bijective mapping: build a codec for ['b] out of one for ['a]. *)
+(** Bijective mapping: build a codec for ['b] out of one for ['a].  It
+    keeps the inner codec's {!min_width}.  [into] runs after the inner
+    codec reads and [from] before it writes; either may perform side
+    effects, so a contextual codec over a plain one is a [map]. *)
 val map : ?name:string -> ('a -> 'b) -> ('b -> 'a) -> 'a t -> 'b t
 
 (** One arm of a sum type: [case tag name codec inject project] where
@@ -94,8 +123,10 @@ val sum : string -> 'a case list -> 'a t
 (** Codec fixpoint for recursive types. *)
 val fix : ('a t -> 'a t) -> 'a t
 
-(** Escape hatch for contextual codecs (used by the runtime for network
-    object references).  [write] and [read] may perform side effects. *)
+(** Escape hatch: a codec from raw [write] and [read] functions, which
+    may perform side effects.  Its {!min_width} is 0; a contextual codec
+    over a wider one keeps that width by being built with {!map}
+    instead. *)
 val custom :
   name:string ->
   write:(Wire.Writer.t -> 'a -> unit) ->

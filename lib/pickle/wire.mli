@@ -1,15 +1,28 @@
 (** Low-level binary wire encoding.
 
     The pickle combinators ({!Pickle}) are built on this reader/writer
-    pair.  Integers use LEB128 variable-length encoding with zigzag for
-    signed values; fixed-width values are little-endian.  Decoding
-    failures raise {!Error} with a position and message, never a generic
-    exception.
+    pair.  Fixed-width values are little-endian (except {!Writer.u32_be}).
+    Integers are LEB128 varints: 7 bits per byte, low group first, the
+    high bit set on every byte but the last.
 
-    Writers can be checked out of a module-level pool so that steady-state
-    encoding reuses already-grown buffers instead of allocating; readers
-    can decode a slice of a larger payload in place, without copying it
-    out first. *)
+    - {!Writer.uvarint} writes a non-negative native int as is;
+      {!Reader.uvarint} accepts [0 <= n < 2^62] (the native range).
+    - {!Writer.varint} first zigzags the native 63-bit int,
+      [(n lsl 1) lxor (n asr 62)], so [0, -1, 1, -2, ...] become
+      [0, 1, 2, 3, ...] and small magnitudes of either sign stay short.
+      The result fits in 63 unsigned bits, so every varint takes at most
+      9 bytes ([max_int] and [min_int] take 9).
+    - A reader rejects a 10-byte encoding (a 9th byte with its
+      continuation bit set), which no writer produces.
+
+    Decoding failures raise {!Error} with a position and message, never a
+    generic exception.
+
+    A writer owns one byte buffer; each primitive reserves its largest
+    size once and then stores without further checks.  Writers can be
+    checked out of a per-domain pool so that steady-state encoding reuses
+    already-grown buffers instead of allocating; readers can decode a
+    slice of a larger payload in place, without copying it out first. *)
 
 exception Error of { pos : int; msg : string }
 
@@ -36,10 +49,10 @@ module Writer : sig
 
       [checkout]/[return] recycle writers through a bounded {e
       per-domain} pool (domain-local storage, so concurrent engines
-      neither contend nor race).  A returned writer is cleared;
-      oversized buffers are dropped rather than retained.  Never use a
-      writer after returning it, and never return it on a different
-      domain than the one that checked it out. *)
+      neither contend nor race).  A returned writer is cleared; one
+      whose buffer grew past 64 KiB is dropped rather than retained.
+      Never use a writer after returning it, and never return it on a
+      different domain than the one that checked it out. *)
 
   val checkout : unit -> t
 
@@ -58,10 +71,11 @@ module Writer : sig
 
   val byte : t -> int -> unit
 
-  (** Unsigned LEB128. Requires a non-negative argument. *)
+  (** Unsigned LEB128, at most 9 bytes.
+      @raise Invalid_argument on a negative argument. *)
   val uvarint : t -> int -> unit
 
-  (** Zigzag-encoded signed LEB128. *)
+  (** Zigzag-encoded signed LEB128, at most 9 bytes. *)
   val varint : t -> int -> unit
 
   val int32 : t -> int32 -> unit
@@ -105,8 +119,11 @@ module Reader : sig
 
   val byte : t -> int
 
+  (** Fails on a value of [2^62] or more (a 9th byte of [0x40] or more)
+      and on a 10-byte encoding. *)
   val uvarint : t -> int
 
+  (** Fails on a 10-byte encoding. *)
   val varint : t -> int
 
   val int32 : t -> int32

@@ -155,13 +155,163 @@ let test_varint_compact () =
   Alcotest.(check bool) "large int bigger" true
     (String.length (P.encode P.int (1 lsl 50)) > 4)
 
+module Rng = Netobj_util.Rng
+
+(* --- Golden bytes ----------------------------------------------------------
+
+   Round trips cannot show that the bytes on the wire stay the same; these
+   encodings were produced by the Int64-based varint encoder and pin the
+   wire format. *)
+
+let hex s =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+let golden_ints =
+  [
+    (0, "00");
+    (1, "02");
+    (-1, "01");
+    (63, "7e");
+    (-64, "7f");
+    (64, "8001");
+    (-65, "8101");
+    (1 lsl 40, "808080808040");
+    (-(1 lsl 40), "ffffffffff3f");
+    (1 lsl 61, "808080808080808040");
+    (-(1 lsl 61), "ffffffffffffffff3f");
+    (max_int, "feffffffffffffff7f");
+    (min_int, "ffffffffffffffff7f");
+  ]
+
+let test_golden_ints () =
+  List.iter
+    (fun (n, h) ->
+      let s = P.encode P.int n in
+      Alcotest.(check string) (Printf.sprintf "encode %d" n) h (hex s);
+      Alcotest.(check int) (Printf.sprintf "decode %s" h) n (P.decode P.int s))
+    golden_ints
+
+(* 1,024 ints of every magnitude, from a fixed seed; the encoding's
+   length and digest. *)
+let test_golden_array () =
+  let rng = Rng.create 0x90bdL in
+  let a =
+    Array.init 1024 (fun _ ->
+        Int64.to_int (Rng.next_int64 rng) asr Rng.int rng 63)
+  in
+  let s = P.encode (P.array P.int) a in
+  Alcotest.(check int) "length" 5023 (String.length s);
+  Alcotest.(check string) "md5" "0e0d9313a945e0a56f793b3a9b933259"
+    (Digest.to_hex (Digest.string s));
+  Alcotest.(check string) "first bytes"
+    ("8008bff2db0fe6a90aaadcc6f1a8879d20aaa2e5"
+    ^ "0183deaca707a180f917e1e2b016e8d083a7f6a3")
+    (hex (String.sub s 0 40));
+  if P.decode (P.array P.int) s <> a then Alcotest.fail "array round trip"
+
+(* --- Bounded decoding --------------------------------------------------- *)
+
+(* [f ()] must raise [Wire.Error] having allocated less than [limit]
+   bytes. *)
+let expect_bounded_error ?(limit = 65536.) name f =
+  let before = Gc.allocated_bytes () in
+  (match f () with
+  | exception Wire.Error _ -> ()
+  | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+  | _ -> Alcotest.failf "%s: decoded" name);
+  let used = Gc.allocated_bytes () -. before in
+  if used >= limit then Alcotest.failf "%s: allocated %.0f bytes" name used
+
+let test_hostile_counts () =
+  (* 0x1fffffff elements claimed by four bytes. *)
+  let count = "\xff\xff\xff\x0f" in
+  expect_bounded_error "array unit" (fun () -> P.decode (P.array P.unit) count);
+  expect_bounded_error "list unit" (fun () -> P.decode (P.list P.unit) count);
+  expect_bounded_error "array int, one element" (fun () ->
+      P.decode (P.array P.int) (count ^ "\x02"));
+  expect_bounded_error "list int, one element" (fun () ->
+      P.decode (P.list P.int) (count ^ "\x02"));
+  (* A 9-byte count of 2^63 - 1: beyond the native range. *)
+  let huge = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f" in
+  expect_bounded_error "9-byte count, array" (fun () ->
+      P.decode (P.array P.int) huge);
+  expect_bounded_error "9-byte count, list" (fun () ->
+      P.decode (P.list P.unit) huge);
+  expect_bounded_error "9-byte string length" (fun () -> P.decode P.string huge)
+
+let test_varint_range () =
+  let r s = Wire.Reader.of_string s in
+  (* The largest uvarint, 2^62 - 1 = max_int, takes 9 bytes ending 0x3f. *)
+  Alcotest.(check int) "uvarint max_int" max_int
+    (Wire.Reader.uvarint (r "\xff\xff\xff\xff\xff\xff\xff\xff\x3f"));
+  expect_wire_error (fun () ->
+      Wire.Reader.uvarint (r "\x80\x80\x80\x80\x80\x80\x80\x80\x40"));
+  (* No writer emits a 10th byte; readers reject one. *)
+  let ten = "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01" in
+  expect_wire_error (fun () -> Wire.Reader.uvarint (r ten));
+  expect_wire_error (fun () -> Wire.Reader.varint (r ten));
+  expect_wire_error (fun () -> P.decode P.int ten);
+  (* Truncated after two bytes and after eight. *)
+  expect_wire_error (fun () -> P.decode P.int "\x80\x80");
+  expect_wire_error (fun () ->
+      P.decode P.int "\x80\x80\x80\x80\x80\x80\x80\x80")
+
+let test_min_width () =
+  let w c = P.min_width c in
+  Alcotest.(check int) "unit" 0 (w P.unit);
+  Alcotest.(check int) "int" 1 (w P.int);
+  Alcotest.(check int) "float" 8 (w P.float);
+  Alcotest.(check int) "triple" 13 (w (P.triple P.int P.int64 P.int32));
+  Alcotest.(check int) "sum" 1 (w shape_codec);
+  Alcotest.(check int) "fix" 1 (w tree_codec);
+  Alcotest.(check int) "map" 2 (w (P.map Fun.id Fun.id (P.pair P.bool P.char)));
+  Alcotest.(check int) "custom" 0
+    (w (P.custom ~name:"c" ~write:P.(write int) ~read:P.(read int)));
+  (* A count may not exceed the input left over the element width. *)
+  let pairs = P.array (P.pair P.int P.int) in
+  Alcotest.(check int) "exact fit" 2
+    (Array.length (P.decode pairs "\x02\x00\x00\x00\x00"));
+  expect_wire_error (fun () -> P.decode pairs "\x03\x00\x00\x00\x00\x00")
+
+let test_zero_width_cap () =
+  let n = P.max_zero_width_count in
+  let enc k =
+    let w = Wire.Writer.create () in
+    Wire.Writer.uvarint w k;
+    Bytes.to_string (Wire.Writer.to_bytes w)
+  in
+  Alcotest.(check int) "array at the cap" n
+    (Array.length (P.decode (P.array P.unit) (enc n)));
+  Alcotest.(check int) "list at the cap" n
+    (List.length (P.decode (P.list P.unit) (enc n)));
+  expect_bounded_error ~limit:1024. "array over the cap" (fun () ->
+      P.decode (P.array P.unit) (enc (n + 1)));
+  expect_bounded_error ~limit:1024. "list over the cap" (fun () ->
+      P.decode (P.list P.unit) (enc (n + 1)))
+
+(* A writer whose buffer grew past the pool's 64 KiB bound is dropped on
+   return; a small one is handed out again, cleared. *)
+let test_pool_retention () =
+  let w = Wire.Writer.checkout () in
+  Wire.Writer.raw w (String.make 70_000 'x');
+  Wire.Writer.return w;
+  let w' = Wire.Writer.checkout () in
+  if w' == w then Alcotest.fail "grown writer retained";
+  Wire.Writer.byte w' 1;
+  Wire.Writer.return w';
+  let w'' = Wire.Writer.checkout () in
+  if w'' != w' then Alcotest.fail "small writer not reused";
+  Alcotest.(check int) "cleared" 0 (Wire.Writer.length w'');
+  Wire.Writer.return w''
+
 (* --- Rng-seeded randomized roundtrips --------------------------------------
 
    Complement the QCheck properties with structured generators the
    QCheck built-ins don't reach: deep recursive values, strings full of
    NULs and empties, extreme-int edges, and raw Wire op sequences. *)
-
-module Rng = Netobj_util.Rng
 
 let rec gen_tree rng depth =
   if depth = 0 || Rng.int rng 3 = 0 then Leaf
@@ -307,6 +457,16 @@ let () =
           Alcotest.test_case "malformed" `Quick test_malformed;
           Alcotest.test_case "fingerprint" `Quick test_fingerprint_structural;
           Alcotest.test_case "varint compact" `Quick test_varint_compact;
+          Alcotest.test_case "varint range" `Quick test_varint_range;
+          Alcotest.test_case "hostile counts" `Quick test_hostile_counts;
+          Alcotest.test_case "min width" `Quick test_min_width;
+          Alcotest.test_case "zero-width cap" `Quick test_zero_width_cap;
+          Alcotest.test_case "pool retention" `Quick test_pool_retention;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "ints" `Quick test_golden_ints;
+          Alcotest.test_case "seeded array" `Quick test_golden_array;
         ] );
       ( "randomized",
         [

@@ -57,6 +57,57 @@ let test_retired_tags () =
       | exception _ -> ())
     [ 9; 10 ]
 
+(* Packet encodings produced by the Int64-based varint encoder: the wire
+   bytes of one call and one reply must never change. *)
+let hex s =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+let test_golden_packets () =
+  let check name (pkt : Proto.packet) expected =
+    let s = P.encode Proto.packet_codec pkt in
+    Alcotest.(check string) name expected (hex s);
+    let pkt' = P.decode Proto.packet_codec s in
+    Alcotest.(check string) (name ^ " re-encodes") expected
+      (hex (P.encode Proto.packet_codec pkt'))
+  in
+  check "call"
+    {
+      src_epoch = 1;
+      src_cont = 1;
+      dst_epoch = 2;
+      env =
+        Proto.Call
+          {
+            call_id = 7;
+            msg_id = mid;
+            needs_ack = true;
+            target = wr;
+            meth = "incr";
+            args = "\x00\xffpayload";
+            deadline = 0.25;
+          };
+    }
+    "020204000e04c60101062204696e63720900ff7061796c6f6164000000000000d03f";
+  check "reply"
+    {
+      src_epoch = 2;
+      src_cont = 0;
+      dst_epoch = 1;
+      env =
+        Proto.Reply
+          {
+            call_id = 7;
+            msg_id = { origin = 3; seq = 1 lsl 40 };
+            needs_ack = false;
+            ack = Some mid;
+            result = Ok "result-bytes";
+          };
+    }
+    "040002010e06808080808040000104c601000c726573756c742d6279746573"
+
 let test_kinds_distinct () =
   let envs =
     [
@@ -168,6 +219,7 @@ let () =
           Alcotest.test_case "roundtrips" `Quick test_envelopes;
           Alcotest.test_case "kinds distinct" `Quick test_kinds_distinct;
           Alcotest.test_case "retired tags rejected" `Quick test_retired_tags;
+          Alcotest.test_case "golden packets" `Quick test_golden_packets;
           QCheck_alcotest.to_alcotest prop_roundtrip;
         ] );
       ("wirerep", [ Alcotest.test_case "basics" `Quick test_wirerep ]);

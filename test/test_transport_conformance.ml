@@ -148,9 +148,9 @@ let release_scenario =
   }
 
 (* Crash the owner mid-conversation, restart it, and re-import: the
-   stale surrogate must fail the same way on both backends and the new
-   incarnation must answer fresh.  (Timeout vs Remote_error on the
-   stale call is an epoch-vs-timer race, so it is normalised.) *)
+   stale surrogate must fail the same way on both backends — rejected
+   with [Remote_error] within a second, not left to its timeout — and
+   the new incarnation must answer fresh. *)
 let recover_scenario =
   {
     s_name = "crash and recover";
@@ -172,11 +172,20 @@ let recover_scenario =
         R.restart rt 0;
         ev (Printf.sprintf "owner restarted epoch=%d" (R.epoch owner));
         (* The stale surrogate's call is rejected by the new incarnation;
-           the reject teaches the client the new epoch and evicts the
-           dead incarnation's surrogates. *)
+           the reject teaches the client the new epoch, which evicts the
+           dead incarnation's surrogates and fails the pending call at
+           once rather than at its 5 s timeout. *)
+        let t0 = Unix.gettimeofday () in
         (match Stub.call client h m_incr 1 with
         | _ -> ev "stale call: succeeded?!"
-        | exception (R.Remote_error _ | R.Timeout _) -> ev "stale call: failed");
+        | exception R.Remote_error _ when Unix.gettimeofday () -. t0 < 1.0 ->
+            ev "stale call: rejected"
+        | exception ((R.Remote_error _ | R.Timeout _) as e) ->
+            Alcotest.failf
+              "stale call: %s after %.2fs of wall time (want Remote_error \
+               within 1s)"
+              (Printexc.to_string e)
+              (Unix.gettimeofday () -. t0));
         Sched.sleep (R.sched rt) 1.0;
         R.release client h;
         let counter' = counter_obj owner in
